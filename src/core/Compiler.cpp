@@ -10,24 +10,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 using namespace virgil;
-
-bool virgil::defaultMonoShareEnabled() {
-  // Read once per process: the CI share-stress lane flips the default
-  // for every compile in the binary without threading a flag through
-  // each construction site (same pattern as VIRGIL_VM_GC).
-  static const bool On = [] {
-    const char *E = std::getenv("VIRGIL_MONO_SHARE");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "off" || std::string_view(E) == "0" ||
-             std::string_view(E) == "false");
-  }();
-  return On;
-}
 
 namespace {
 

@@ -30,6 +30,7 @@
 #ifndef VIRGIL_CORE_COMPILER_H
 #define VIRGIL_CORE_COMPILER_H
 
+#include "core/Features.h"
 #include "interp/Interpreter.h"
 #include "ir/IrStats.h"
 #include "mono/Monomorphizer.h"
@@ -44,9 +45,10 @@
 
 namespace virgil {
 
-/// Process-wide default for specialization sharing, from
-/// VIRGIL_MONO_SHARE (on/1/true | off/0/false); on when unset.
-bool defaultMonoShareEnabled();
+/// Process-wide default for specialization sharing (core/Features.h).
+inline bool defaultMonoShareEnabled() {
+  return featureDefault(Feature::Share);
+}
 
 struct CompilerOptions {
   /// Stop after lowering (Program keeps only the polymorphic IR).

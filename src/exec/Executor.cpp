@@ -99,16 +99,16 @@ uint64_t Executor::poolKeyFor(const ExecuteRequest &Req,
                               uint64_t HeapBytes) const {
   // Everything that shapes execution beyond per-run quotas: the source
   // content + compiler options (via the cache key, which also folds in
-  // the bytecode format version) and the heap geometry. Two requests
-  // with the same key are guaranteed bit-identical runs.
+  // the bytecode format version), the heap quota and the vm-layer
+  // feature knobs (heap and tier configuration). Two requests with the
+  // same key are guaranteed bit-identical runs.
   const ServiceOptions &SO = Service.options();
   uint64_t H = BytecodeCache::keyFor(Req.Source, SO.Compile,
                                      SO.CacheFormatVersion);
   H = fnvMix(H, HeapBytes);
-  H = fnvMix(H, Config.VmNurseryBytes);
-  H = fnvMix(H, Config.VmGenerational ? 1 : 0);
-  H = fnvMix(H, (uint64_t)Config.VmJit);
-  H = fnvMix(H, Config.VmJitThreshold);
+  for (const FeatureInfo &F : features())
+    if (F.Layer == FeatureLayer::Vm)
+      H = fnvMix(H, featureValue(F.Id, Config.Vm));
   return H;
 }
 
@@ -160,20 +160,12 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
   }
   if (!JR.CacheHit) {
     Mono.Compiles.fetch_add(1, std::memory_order_relaxed);
-    if (JR.Share.Enabled)
-      Mono.ShareEnabled.store(true, std::memory_order_relaxed);
     Mono.FunctionsBefore.fetch_add(JR.Share.FunctionsBefore,
                                    std::memory_order_relaxed);
     Mono.FunctionsAfter.fetch_add(JR.Share.FunctionsAfter,
                                   std::memory_order_relaxed);
     Mono.BodiesShared.fetch_add(JR.Share.BodiesShared,
                                 std::memory_order_relaxed);
-    if (Service.options().Compile.Optimize &&
-        Service.options().Compile.Opt.Escape)
-      Opt.EscapeEnabled.store(true, std::memory_order_relaxed);
-    if (Service.options().Compile.Optimize &&
-        Service.options().Compile.Opt.Ssa)
-      Opt.SsaEnabled.store(true, std::memory_order_relaxed);
     Opt.PhisPlaced.fetch_add(JR.Opt.PhisPlaced, std::memory_order_relaxed);
     Opt.SccpFolded.fetch_add(JR.Opt.SccpFolded, std::memory_order_relaxed);
     Opt.LoadsEliminated.fetch_add(JR.Opt.LoadsEliminated,
@@ -207,14 +199,10 @@ ExecuteResponse Executor::run(const ExecuteRequest &Req, bool ExecuteVm,
   if (!ExecuteVm)
     return R; // COMPILE: cache is populated, nothing to run
 
-  VmOptions VO;
+  VmOptions VO = Config.Vm;
   VO.MaxInstrs = Fuel;
   VO.MaxHeapBytes = HeapBytes;
   VO.DeadlineMs = DeadlineMs;
-  VO.Generational = Config.VmGenerational;
-  VO.NurseryBytes = Config.VmNurseryBytes;
-  VO.Jit = Config.VmJit;
-  VO.JitThreshold = Config.VmJitThreshold;
 
   auto E0 = Clock::now();
   auto V = std::make_unique<Vm>(JR.Unit->bytecode(), VO);

@@ -44,8 +44,6 @@ namespace exec {
 struct MonoShareCounters {
   /// Jobs that actually compiled (the denominators below).
   std::atomic<uint64_t> Compiles{0};
-  /// Whether any compiled job ran with sharing enabled.
-  std::atomic<bool> ShareEnabled{false};
   std::atomic<uint64_t> FunctionsBefore{0};
   std::atomic<uint64_t> FunctionsAfter{0};
   std::atomic<uint64_t> BodiesShared{0};
@@ -75,10 +73,6 @@ struct JitCounters {
 /// (cache and pool hits contribute nothing). Same sampling discipline
 /// as MonoShareCounters.
 struct OptCounters {
-  /// Whether any compiled job ran with escape analysis enabled.
-  std::atomic<bool> EscapeEnabled{false};
-  /// Whether any compiled job ran the SSA mid-tier.
-  std::atomic<bool> SsaEnabled{false};
   std::atomic<uint64_t> AllocsElided{0};
   std::atomic<uint64_t> FieldsScalarized{0};
   std::atomic<uint64_t> ClosuresFlattened{0};
@@ -104,29 +98,26 @@ struct OptCounters {
 };
 
 struct ExecutorConfig {
-  /// Default and maximum per-request quotas (same clamping rule as
-  /// ServerConfig, which is where these come from in the daemon).
-  uint64_t DefaultFuel = 200u << 20;
-  uint64_t DefaultHeapBytes = 64u << 20;
+  /// Default and maximum per-request quotas. A request may specify
+  /// tighter values; anything above the maximum is clamped.
+  uint64_t DefaultFuel = 200u << 20;     // ~200M instructions
+  uint64_t DefaultHeapBytes = 64u << 20; // 64 MiB
   uint32_t DefaultDeadlineMs = 5000;
   uint64_t MaxFuel = 1u << 30;
   uint64_t MaxHeapBytes = 256u << 20;
   uint32_t MaxDeadlineMs = 30000;
 
-  /// Request-VM heap mode and nursery size; part of the pool key.
-  bool VmGenerational = true;
-  uint32_t VmNurseryBytes = 64 * 1024;
-
-  /// Request-VM JIT tier: mode and hotness threshold; part of the pool
-  /// key (a warm VM's compiled code must never serve a request that
-  /// asked for a different tier configuration). Defaults follow the
-  /// VIRGIL_VM_JIT / VIRGIL_VM_JIT_THRESHOLD process environment.
-  VmOptions::JitMode VmJit = VmOptions::defaultJitMode();
-  uint32_t VmJitThreshold = VmOptions::defaultJitThreshold();
+  /// Every request VM starts from these options (process defaults
+  /// unless set), with the clamped quotas above replacing its
+  /// MaxInstrs/MaxHeapBytes/DeadlineMs. The vm-layer feature knobs are
+  /// part of the pool key: a warm VM never serves a request under a
+  /// different heap or tier configuration.
+  VmOptions Vm;
 
   /// Warm-VM pooling (on by default; `--vm-pool off` for the ablation
   /// and the differential baseline).
   bool UsePool = true;
+  /// Warm VMs retained per worker.
   size_t PoolSize = 8;
 };
 

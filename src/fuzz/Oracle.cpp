@@ -96,15 +96,15 @@ StrategyRun crashed(const char *Name, const std::string &What) {
 }
 
 /// Runs the strategies of one compiled program, appending to \p Runs.
-/// \p Suffix distinguishes the no-opt and shared pipelines. With
-/// \p NormAndVmOnly only the stages sharing can affect run (the poly
-/// and mono IR are identical either way, so re-running them on the
-/// shared pipeline would test nothing).
-void runStrategies(Program &P, uint64_t MaxInstrs,
-                   const VmOptions &VmOpts, bool VmPooled, bool VmJit,
+/// \p Suffix names the pipeline ("", "/no-opt", "/share", ...). With
+/// \p NormAndVmOnly only the stages a compile leg can affect run (the
+/// poly and mono IR are identical either way, so re-running them would
+/// test nothing).
+void runStrategies(Program &P, const OracleConfig &Config,
                    const std::string &Suffix,
                    std::vector<StrategyRun> &Runs,
                    bool NormAndVmOnly = false) {
+  uint64_t MaxInstrs = Config.MaxInstrs;
   auto interpOn = [&](IrModule &M, const std::string &Name) {
     try {
       Interpreter I(M);
@@ -122,12 +122,23 @@ void runStrategies(Program &P, uint64_t MaxInstrs,
     interpOn(P.monoIr(), "mono-interp" + Suffix);
   }
   interpOn(P.normIr(), "norm-interp" + Suffix);
-  auto vmOn = [&](const char *Leg, const VmOptions &Opts) {
+  // With \p Reuse the leg follows the warm-pool reuse protocol: run
+  // once to dirty every piece of state a request can touch, reset, run
+  // again, and report the second run. It must be indistinguishable
+  // from a fresh VM.
+  auto vmOn = [&](const char *Leg, const VmOptions &Opts, bool Reuse) {
     std::string Name = Leg + Suffix;
     try {
       Vm V(P.bytecode(), Opts);
       if (MaxInstrs)
         V.setMaxInstrs(MaxInstrs);
+      if (Reuse) {
+        V.snapshotForReuse();
+        (void)V.run();
+        V.resetForReuse();
+        if (MaxInstrs)
+          V.setMaxInstrs(MaxInstrs); // resetForReuse re-arms from VmOptions
+      }
       Runs.push_back(fromVm(Name.c_str(), V.run()));
     } catch (const std::exception &E) {
       Runs.push_back(crashed(Name.c_str(), E.what()));
@@ -136,43 +147,26 @@ void runStrategies(Program &P, uint64_t MaxInstrs,
     }
     Runs.back().Pipeline = Suffix;
   };
-  // With the vm+jit strategy the plain leg pins the JIT off so it is
-  // a true interpreter reference; otherwise it follows VmOpts (which
-  // defaults to the process environment).
-  VmOptions PlainOpts = VmOpts;
-  if (VmJit)
+  // With the vm+jit strategy the plain legs pin the JIT off so they are
+  // a true interpreter reference; otherwise they follow Config.Vm
+  // (which defaults to the process environment).
+  bool Jit = Config.wants(Feature::Jit);
+  VmOptions PlainOpts = Config.Vm;
+  if (Jit)
     PlainOpts.Jit = VmOptions::JitMode::Off;
-  vmOn("vm", PlainOpts);
-  if (VmJit) {
-    VmOptions JitOpts = VmOpts;
-    JitOpts.Jit = VmOptions::JitMode::On;
-    JitOpts.JitThreshold = 0;
-    vmOn("vm+jit", JitOpts);
+  VmOptions JitOpts = Config.Vm;
+  JitOpts.Jit = VmOptions::JitMode::On;
+  JitOpts.JitThreshold = 0;
+  vmOn("vm", PlainOpts, false);
+  if (Jit) {
+    vmOn("vm+jit", JitOpts, false);
     JitOpts.JitThreshold = kOracleJitMidThreshold;
-    vmOn("vm+jit-warm", JitOpts);
+    vmOn("vm+jit-warm", JitOpts, false);
   }
-  if (!VmPooled)
-    return;
-  // The warm-pool reuse protocol: run once to dirty every piece of
-  // state a request can touch, reset, run again, and report the
-  // second run. It must be indistinguishable from the plain vm leg.
-  std::string PoolName = "vm+pool" + Suffix;
-  try {
-    Vm V(P.bytecode(), PlainOpts);
-    if (MaxInstrs)
-      V.setMaxInstrs(MaxInstrs);
-    V.snapshotForReuse();
-    (void)V.run();
-    V.resetForReuse();
-    if (MaxInstrs)
-      V.setMaxInstrs(MaxInstrs); // resetForReuse re-arms from VmOptions
-    Runs.push_back(fromVm(PoolName.c_str(), V.run()));
-  } catch (const std::exception &E) {
-    Runs.push_back(crashed(PoolName.c_str(), E.what()));
-  } catch (...) {
-    Runs.push_back(crashed(PoolName.c_str(), "unknown exception"));
-  }
-  Runs.back().Pipeline = Suffix;
+  if (Config.VmPooled)
+    vmOn("vm+pool", PlainOpts, true);
+  if (Config.VmPooled && Jit)
+    vmOn("vm+pool+jit", JitOpts, true);
 }
 
 } // namespace
@@ -180,108 +174,65 @@ void runStrategies(Program &P, uint64_t MaxInstrs,
 OracleReport DifferentialOracle::check(const std::string &Source) const {
   OracleReport Report;
 
-  // With the mono+share strategy the baseline legs force sharing OFF
-  // (instead of following the process default) so the "/share" legs
-  // are a true on-vs-off differential; the escape strategy does the
-  // same with the escape pass.
-  auto compileOne = [&](bool Optimize, bool Share, bool Escape = false,
-                        bool Ssa = false) -> std::unique_ptr<Program> {
+  // Requested compile legs are a true on-vs-off differential: every
+  // compile forces each requested knob off (instead of following the
+  // process default) except the one leg \p Forced turns on.
+  auto compileOne = [&](bool Optimize,
+                        const FeatureInfo *Forced) -> std::unique_ptr<Program> {
     CompilerOptions Options;
     Options.Optimize = Optimize;
-    if (Config.MonoShare)
-      Options.ShareSpecializations = Share;
-    if (Config.OptEscape)
-      Options.Opt.Escape = Escape;
-    if (Config.OptSsa)
-      Options.Opt.Ssa = Ssa;
+    for (const FeatureInfo &F : features())
+      if (F.Leg && Config.wants(F.Id))
+        setFeature(Options, F.Id, &F == Forced);
+    // Arm strict-SSA verification for the /ssa compile: a malformed phi
+    // or a dominance violation should fail loudly at the pass boundary,
+    // not surface later as an unexplained value divergence.
+    bool Arm = Forced && Forced->Id == Feature::Ssa;
+    bool PrevVerify = ssa::ssaVerifyEnabled();
+    if (Arm)
+      ssa::setSsaVerifyEnabled(true);
     Compiler C(Options);
     std::string Error;
     auto P = C.compile("fuzz", Source, &Error);
+    if (Arm)
+      ssa::setSsaVerifyEnabled(PrevVerify);
     if (!P && Report.CompileError.empty())
       Report.CompileError = Error;
     return P;
   };
 
-  auto P = compileOne(/*Optimize=*/true, /*Share=*/false);
-  if (!P) {
-    Report.Kind = Outcome::CompileError;
-    Report.Detail = "program failed to compile";
-    return Report;
-  }
-  runStrategies(*P, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                Config.VmJit, "", Report.Runs);
-  if (Config.MonoShare) {
-    auto PShare = compileOne(/*Optimize=*/true, /*Share=*/true);
-    if (!PShare) {
-      // Compiling must not depend on the sharing pass.
-      Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles without sharing but not with it";
-      return Report;
-    }
-    runStrategies(*PShare, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/share", Report.Runs,
-                  /*NormAndVmOnly=*/true);
-  }
-  if (Config.OptEscape) {
-    auto PEscape =
-        compileOne(/*Optimize=*/true, /*Share=*/false, /*Escape=*/true);
-    if (!PEscape) {
-      // Compiling must not depend on the escape pass.
-      Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles without escape analysis but not with it";
-      return Report;
-    }
-    // Scalar replacement rewrites only the post-mono IR, so the poly
-    // and mono legs would re-test nothing.
-    runStrategies(*PEscape, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/escape", Report.Runs,
-                  /*NormAndVmOnly=*/true);
-  }
-  if (Config.OptSsa) {
-    // Arm strict-SSA verification for this compile: a malformed phi or
-    // a dominance violation should fail loudly at the pass boundary,
-    // not surface later as an unexplained value divergence.
-    bool PrevVerify = ssa::ssaVerifyEnabled();
-    ssa::setSsaVerifyEnabled(true);
-    auto PSsa = compileOne(/*Optimize=*/true, /*Share=*/false,
-                           /*Escape=*/false, /*Ssa=*/true);
-    ssa::setSsaVerifyEnabled(PrevVerify);
-    if (!PSsa) {
-      // Compiling must not depend on the SSA mid-tier.
-      Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles without the SSA mid-tier but not with it";
-      return Report;
-    }
-    // The SSA sandwich rewrites only the post-mono IR, so the poly and
-    // mono legs would re-test nothing.
-    runStrategies(*PSsa, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/ssa", Report.Runs,
-                  /*NormAndVmOnly=*/true);
-  }
-
-  if (Config.CompareNoOpt) {
-    auto PNoOpt = compileOne(/*Optimize=*/false, /*Share=*/false);
-    if (!PNoOpt) {
+  // One pipeline: its baseline compile, then one compile per requested
+  // leg whose knob the pipeline runs. False once a compile fails.
+  auto runPipeline = [&](bool Optimize) {
+    std::string Base = Optimize ? "" : "/no-opt";
+    auto P = compileOne(Optimize, nullptr);
+    if (!P) {
       // Compiling the same source must not depend on the optimizer.
       Report.Kind = Outcome::CompileError;
-      Report.Detail = "compiles optimized but not unoptimized";
-      return Report;
+      Report.Detail = Optimize ? "program failed to compile"
+                               : "compiles optimized but not unoptimized";
+      return false;
     }
-    runStrategies(*PNoOpt, Config.MaxInstrs, Config.Vm, Config.VmPooled,
-                  Config.VmJit, "/no-opt", Report.Runs);
-    if (Config.MonoShare) {
-      auto PNoOptShare = compileOne(/*Optimize=*/false, /*Share=*/true);
-      if (!PNoOptShare) {
+    runStrategies(*P, Config, Base, Report.Runs);
+    for (const FeatureInfo &F : features()) {
+      if (!F.Leg || !Config.wants(F.Id) || (!Optimize && F.OptPass))
+        continue;
+      auto PLeg = compileOne(Optimize, &F);
+      if (!PLeg) {
+        // Compiling must not depend on the knob.
         Report.Kind = Outcome::CompileError;
-        Report.Detail = "compiles without sharing but not with it "
-                        "(no-opt)";
-        return Report;
+        Report.Detail = std::string("compiles with ") + F.Flag +
+                        " off but not on" + (Optimize ? "" : " (no-opt)");
+        return false;
       }
-      runStrategies(*PNoOptShare, Config.MaxInstrs, Config.Vm,
-                    Config.VmPooled, Config.VmJit, "/no-opt/share",
-                    Report.Runs, /*NormAndVmOnly=*/true);
+      runStrategies(*PLeg, Config, Base + F.Leg, Report.Runs,
+                    /*NormAndVmOnly=*/true);
     }
-  }
+    return true;
+  };
+  if (!runPipeline(/*Optimize=*/true) ||
+      (Config.CompareNoOpt && !runPipeline(/*Optimize=*/false)))
+    return Report;
 
   // Classify: crash > timeout > diag-divergence > value-divergence.
   const StrategyRun &Ref = Report.Runs[0];

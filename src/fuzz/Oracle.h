@@ -28,6 +28,7 @@
 
 #include "vm/Vm.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -74,8 +75,9 @@ struct OracleReport {
   std::string Detail;
   /// Rendered diagnostics when Kind == CompileError.
   std::string CompileError;
-  /// Per-strategy observations; optimized runs first, then (when
-  /// enabled) the "/share", "/no-opt", and "/no-opt/share" pipelines.
+  /// Per-strategy observations: the optimized pipeline first, then
+  /// each requested compile leg's pipeline ("/share", "/escape",
+  /// "/ssa"), then (when enabled) "/no-opt" and "/no-opt/share".
   std::vector<StrategyRun> Runs;
 
   bool diverged() const { return Kind != Outcome::Agree; }
@@ -100,45 +102,36 @@ struct OracleConfig {
   /// is a violation of the pool's observational-invisibility contract
   /// (src/exec/VmPool.h).
   bool VmPooled = false;
-  /// Adds "/share" strategies: the program is recompiled with
-  /// specialization sharing forced ON while the baseline legs force it
-  /// OFF, and the shared pipeline's norm-interp, vm (and vm+pool, when
-  /// VmPooled) runs must agree with everything else. Any divergence
-  /// breaks the sharing pass's observational-invisibility contract
-  /// (src/mono/ShareSpecializations.h). Applies to the no-opt pipeline
-  /// too when CompareNoOpt is set.
-  bool MonoShare = false;
-  /// Adds "/escape" strategies: the program is recompiled with escape
-  /// analysis + scalar replacement forced ON while the baseline legs
-  /// force it OFF, and the escape pipeline's norm-interp and vm runs
-  /// must agree with everything else. Any divergence breaks the escape
-  /// pass's observational-invisibility contract (src/opt/Escape.h).
-  /// Only the optimized pipeline participates — the no-opt pipeline
-  /// never runs the pass.
-  bool OptEscape = false;
-  /// Adds "/ssa" strategies: the program is recompiled with the SSA
-  /// mid-tier (pruned-SSA construction, SCCP, load/store elimination)
-  /// forced ON while the baseline legs force it OFF, and the SSA
-  /// pipeline's norm-interp and vm runs must agree with everything
-  /// else. Any divergence breaks the SSA sandwich's observational
-  /// invisibility (src/ssa/Ssa.h). The oracle also arms strict-SSA
-  /// verification for its compiles so malformed SSA is caught at the
-  /// pass boundary rather than as a downstream divergence. Only the
-  /// optimized pipeline participates — the no-opt pipeline never
-  /// enters SSA form.
-  bool OptSsa = false;
-  /// Adds "vm+jit" strategies: the same bytecode re-run with the
-  /// baseline JIT tier forced ON at hotness threshold 0 (everything
-  /// compiles before its first instruction) and at a mid threshold
-  /// (functions tier up mid-run, exercising OSR and deopt), while the
-  /// plain vm leg forces the JIT OFF so it stays the interpreter
-  /// reference. The tiers must agree on result, output, trap
-  /// diagnostics, *and* the executed-instruction count — the JIT's
-  /// exact-accounting contract. Inline-cache hit/miss counters are
-  /// deliberately not compared (tier-heuristic stats). On hosts
-  /// without JIT support the legs silently run interpreted and the
-  /// comparison is vacuous.
-  bool VmJit = false;
+  /// Feature knobs (core/Features.h) whose forced-on legs to add:
+  ///
+  ///  - A compile-layer knob (Share, Escape, Ssa) recompiles the
+  ///    program with the knob forced ON while the baseline legs force
+  ///    every requested knob OFF, and runs the new pipeline's
+  ///    norm-interp and VM strategies under the knob's leg suffix
+  ///    ("/share"). They must agree with everything else: the knob's
+  ///    observational-invisibility contract. Optimizer passes join only
+  ///    the optimized pipeline; Share also joins "/no-opt". The /ssa
+  ///    compile arms strict-SSA verification, so malformed SSA fails at
+  ///    the pass boundary rather than as a downstream divergence.
+  ///  - Jit adds "vm+jit" strategies: the same bytecode re-run with the
+  ///    baseline JIT forced ON at hotness threshold 0 (everything
+  ///    compiles before its first instruction) and at a mid threshold
+  ///    (functions tier up mid-run, exercising OSR and deopt), while the
+  ///    plain vm leg forces the JIT OFF so it stays the interpreter
+  ///    reference. With VmPooled it also adds "vm+pool+jit": the reuse
+  ///    protocol with the JIT live at the mid threshold, the
+  ///    configuration virgild serves (compiled code and IC patches
+  ///    survive resetForReuse). The tiers must agree on result, output,
+  ///    trap diagnostics, *and* the executed-instruction count — the
+  ///    JIT's exact-accounting contract. Inline-cache hit/miss counters
+  ///    are deliberately not compared (tier-heuristic stats). On hosts
+  ///    without JIT support the legs run interpreted and the comparison
+  ///    is vacuous.
+  std::vector<Feature> Legs;
+
+  bool wants(Feature F) const {
+    return std::find(Legs.begin(), Legs.end(), F) != Legs.end();
+  }
 };
 
 /// Mid hotness threshold used by the second vm+jit leg: small enough

@@ -6,33 +6,8 @@
 #include "ssa/Ssa.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <string_view>
 
 using namespace virgil;
-
-bool virgil::defaultOptEscapeEnabled() {
-  // Read once per process (same pattern as VIRGIL_MONO_SHARE).
-  static const bool On = [] {
-    const char *E = std::getenv("VIRGIL_OPT_ESCAPE");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "off" || std::string_view(E) == "0" ||
-             std::string_view(E) == "false");
-  }();
-  return On;
-}
-
-bool virgil::defaultOptSsaEnabled() {
-  static const bool On = [] {
-    const char *E = std::getenv("VIRGIL_OPT_SSA");
-    if (!E)
-      return true;
-    return !(std::string_view(E) == "off" || std::string_view(E) == "0" ||
-             std::string_view(E) == "false");
-  }();
-  return On;
-}
 
 OptStats &OptStats::operator+=(const OptStats &O) {
   Folded += O.Folded;

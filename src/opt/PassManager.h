@@ -25,6 +25,7 @@
 #ifndef VIRGIL_OPT_PASSMANAGER_H
 #define VIRGIL_OPT_PASSMANAGER_H
 
+#include "core/Features.h"
 #include "ir/Ir.h"
 
 #include <functional>
@@ -35,19 +36,6 @@ namespace ssa {
 class DominatorAnalysis;
 }
 
-/// Process-wide default for escape analysis + scalar replacement, from
-/// VIRGIL_OPT_ESCAPE (on/1/true | off/0/false); on when unset. The CI
-/// escape-stress lane flips this for every compile in a binary without
-/// threading a flag through each construction site (same pattern as
-/// VIRGIL_MONO_SHARE).
-bool defaultOptEscapeEnabled();
-
-/// Process-wide default for the SSA mid-tier (pruned-SSA construction,
-/// SCCP, load/store elimination), from VIRGIL_OPT_SSA (on/1/true |
-/// off/0/false); on when unset. The CI ssa-stress lane flips this for
-/// every compile in a binary, same pattern as VIRGIL_OPT_ESCAPE.
-bool defaultOptSsaEnabled();
-
 struct OptOptions {
   bool Fold = true;
   bool CopyProp = true;
@@ -55,12 +43,14 @@ struct OptOptions {
   bool Inline = true;
   bool Devirtualize = true;
   bool DeadFields = true;
-  bool Escape = defaultOptEscapeEnabled();
+  /// Escape analysis + scalar replacement. Escape and Ssa default to
+  /// the process settings in core/Features.h.
+  bool Escape = featureDefault(Feature::Escape);
   /// Run optimization rounds through the SSA sandwich: SCCP (which
   /// subsumes Fold + CopyProp — they are not run separately) and
   /// dominance-based load/store elimination over a shared dominator
   /// analysis that Escape and the devirtualizer also consume.
-  bool Ssa = defaultOptSsaEnabled();
+  bool Ssa = featureDefault(Feature::Ssa);
   unsigned Rounds = 3;
   size_t InlineInstrLimit = 48;
   /// When set, invoked with a pass name ("devirt", "inline", "ssa",

@@ -35,8 +35,8 @@ ServerConfig normalized(ServerConfig C) {
   // Every shard needs at least one worker draining its queue.
   if (C.Workers < C.IoThreads)
     C.Workers = C.IoThreads;
-  if (C.VmPoolSize <= 0)
-    C.VmPool = false;
+  if (C.Exec.PoolSize == 0)
+    C.Exec.UsePool = false;
   return C;
 }
 
@@ -52,22 +52,9 @@ Server::Server(ServerConfig C)
   SO.Compile = Config.Compile;
   Service = std::make_unique<CompileService>(SO);
 
-  exec::ExecutorConfig EC;
-  EC.DefaultFuel = Config.DefaultFuel;
-  EC.DefaultHeapBytes = Config.DefaultHeapBytes;
-  EC.DefaultDeadlineMs = Config.DefaultDeadlineMs;
-  EC.MaxFuel = Config.MaxFuel;
-  EC.MaxHeapBytes = Config.MaxHeapBytes;
-  EC.MaxDeadlineMs = Config.MaxDeadlineMs;
-  EC.VmGenerational = Config.VmGenerational;
-  EC.VmNurseryBytes = Config.VmNurseryBytes;
-  EC.VmJit = Config.VmJit;
-  EC.VmJitThreshold = Config.VmJitThreshold;
-  EC.UsePool = Config.VmPool;
-  EC.PoolSize = (size_t)Config.VmPoolSize;
   Execs.reserve((size_t)Config.Workers);
   for (int W = 0; W != Config.Workers; ++W)
-    Execs.push_back(std::make_unique<exec::Executor>(EC, *Service));
+    Execs.push_back(std::make_unique<exec::Executor>(Config.Exec, *Service));
 }
 
 Server::~Server() { stop(); }
@@ -233,7 +220,7 @@ void Server::eventLoop(Shard &S) {
       // its responses.
       DrainDeadline =
           Clock::now() +
-          std::chrono::milliseconds(Config.MaxDeadlineMs + 5000);
+          std::chrono::milliseconds(Config.Exec.MaxDeadlineMs + 5000);
     }
 
     // This shard's TCP accept source: its own SO_REUSEPORT listener,
@@ -584,6 +571,12 @@ void Server::workerLoop(int WorkerId) {
 //===----------------------------------------------------------------------===//
 
 std::string Server::statsJson() const {
+  // Knob on/off comes from the configuration, so it reads the same
+  // before the first compile as after it.
+  auto enabled = [this](Feature F) {
+    return featureEnabled(F, Config.Compile) ? "true" : "false";
+  };
+
   std::string CacheJson;
   if (BytecodeCache *Cache = Service->cache()) {
     CacheStats CS = Cache->stats();
@@ -616,11 +609,9 @@ std::string Server::statsJson() const {
   std::string MonoJson;
   {
     uint64_t Compiles = 0, FnsBefore = 0, FnsAfter = 0, Bodies = 0;
-    bool ShareOn = false;
     for (const auto &E : Execs) {
       const exec::MonoShareCounters &MS = E->monoStats();
       Compiles += MS.Compiles.load(std::memory_order_relaxed);
-      ShareOn |= MS.ShareEnabled.load(std::memory_order_relaxed);
       FnsBefore += MS.FunctionsBefore.load(std::memory_order_relaxed);
       FnsAfter += MS.FunctionsAfter.load(std::memory_order_relaxed);
       Bodies += MS.BodiesShared.load(std::memory_order_relaxed);
@@ -632,7 +623,7 @@ std::string Server::statsJson() const {
                   "\"functions_before_share\":%llu,"
                   "\"functions_after_share\":%llu,"
                   "\"bodies_shared\":%llu,\"share_ratio\":%.2f}",
-                  ShareOn ? "true" : "false",
+                  enabled(Feature::Share),
                   (unsigned long long)Compiles,
                   (unsigned long long)FnsBefore,
                   (unsigned long long)FnsAfter,
@@ -649,11 +640,8 @@ std::string Server::statsJson() const {
     uint64_t Phis = 0, Sccp = 0, Loads = 0, Stores = 0, Nulls = 0;
     uint64_t DevirtUs = 0, InlineUs = 0, FoldUs = 0, CopyPropUs = 0,
              DceUs = 0, EscapeUs = 0, DeadFieldsUs = 0, SsaUs = 0;
-    bool EscapeOn = false, SsaOn = false;
     for (const auto &E : Execs) {
       const exec::OptCounters &OC = E->optStats();
-      EscapeOn |= OC.EscapeEnabled.load(std::memory_order_relaxed);
-      SsaOn |= OC.SsaEnabled.load(std::memory_order_relaxed);
       Allocs += OC.AllocsElided.load(std::memory_order_relaxed);
       Fields += OC.FieldsScalarized.load(std::memory_order_relaxed);
       Closures += OC.ClosuresFlattened.load(std::memory_order_relaxed);
@@ -687,7 +675,7 @@ std::string Server::statsJson() const {
                   "\"pass_ms\":{\"devirt\":%.3f,\"inline\":%.3f,"
                   "\"fold\":%.3f,\"copyprop\":%.3f,\"dce\":%.3f,"
                   "\"escape\":%.3f,\"deadfields\":%.3f,\"ssa\":%.3f}}",
-                  EscapeOn ? "true" : "false", SsaOn ? "true" : "false",
+                  enabled(Feature::Escape), enabled(Feature::Ssa),
                   (unsigned long long)Allocs, (unsigned long long)Fields,
                   (unsigned long long)Closures,
                   (unsigned long long)Devirt, (unsigned long long)Cha,
@@ -722,9 +710,8 @@ std::string Server::statsJson() const {
       Patches += JC.IcPatches.load(std::memory_order_relaxed);
       Mega += JC.IcMegamorphic.load(std::memory_order_relaxed);
     }
-    const char *Mode = Config.VmJit == VmOptions::JitMode::On    ? "on"
-                       : Config.VmJit == VmOptions::JitMode::Off ? "off"
-                                                                 : "auto";
+    std::string Mode = featureValueName(
+        Feature::Jit, featureValue(Feature::Jit, Config.Exec.Vm));
     char Buf[512];
     std::snprintf(Buf, sizeof(Buf),
                   "{\"mode\":\"%s\",\"threshold\":%u,"
@@ -734,7 +721,8 @@ std::string Server::statsJson() const {
                   "\"enters\":%llu,\"osr_entries\":%llu,"
                   "\"deopts\":%llu,\"ic_patches\":%llu,"
                   "\"ic_megamorphic\":%llu}",
-                  Mode, Config.VmJitThreshold, Avail ? "true" : "false",
+                  Mode.c_str(), Config.Exec.Vm.JitThreshold,
+                  Avail ? "true" : "false",
                   Enabled ? "true" : "false",
                   (unsigned long long)Compiles,
                   (unsigned long long)Failures,
@@ -772,7 +760,7 @@ std::string Server::statsJson() const {
         "\"hits\":%llu,\"misses\":%llu,\"hit_rate_pct\":%.1f,"
         "\"evictions\":%llu,\"drops\":%llu}}",
         Shards.empty() ? (size_t)Config.IoThreads : Shards.size(), Backend,
-        Config.VmPool ? "true" : "false", Config.VmPoolSize,
+        Config.Exec.UsePool ? "true" : "false", (int)Config.Exec.PoolSize,
         (unsigned long long)Resident, (unsigned long long)Hits,
         (unsigned long long)Misses, HitPct, (unsigned long long)Evictions,
         (unsigned long long)Drops);

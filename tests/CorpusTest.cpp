@@ -8,8 +8,18 @@
 #include "TestUtil.h"
 #include "corpus/Corpus.h"
 
+#include <ostream>
+
 using namespace virgil;
 using namespace virgil::testing;
+
+namespace virgil::corpus {
+// Prints a program by its expected result, keeping its source pointers
+// out of the test IDs; the program's name is already the test suffix.
+static void PrintTo(const CorpusProgram &P, std::ostream *OS) {
+  *OS << "returns " << P.ExpectedResult;
+}
+} // namespace virgil::corpus
 
 namespace {
 

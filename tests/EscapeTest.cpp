@@ -223,7 +223,7 @@ def main() -> int {
 // and a register-pressure-heavy corpus program — as agreement.
 TEST(EscapeTest, OracleInvisibilityOnChurnWorkload) {
   fuzz::OracleConfig Config;
-  Config.OptEscape = true;
+  Config.Legs = {Feature::Escape};
   fuzz::DifferentialOracle Oracle(Config);
 
   fuzz::OracleReport R =

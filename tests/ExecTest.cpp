@@ -471,6 +471,24 @@ TEST(ExecutorTest, PoolOffNeverRetainsVms) {
   EXPECT_EQ(A.Instrs, B.Instrs);
 }
 
+TEST(ExecutorTest, RequestVmsFollowTheProcessHeapSettings) {
+  // A request VM starts from the process-default VmOptions, so the
+  // VIRGIL_VM_GC / VIRGIL_VM_NURSERY_BYTES settings reach it exactly as
+  // they reach a VM built directly (the gc-stress lane runs this suite
+  // with a 4 KiB nursery, a feature lane with a semispace heap): both
+  // must collect equally often.
+  ExecFixture F;
+  server::ExecuteResponse R = F.run(kGcChurn);
+  ASSERT_EQ((int)R.O, (int)server::Outcome::Ok) << R.Message;
+  auto P = compileOk(kGcChurn);
+  Vm Direct(P->bytecode(), VmOptions());
+  VmResult D = Direct.run();
+  EXPECT_GT(D.Heap.Collections, 0u);
+  EXPECT_EQ(R.GcMinor, D.Heap.MinorCollections);
+  EXPECT_EQ(R.GcMajor, D.Heap.MajorCollections);
+  EXPECT_EQ(R.Instrs, D.Counters.Instrs);
+}
+
 TEST(ExecutorTest, PooledVsUnpooledAgreeOnRandomPrograms) {
   // Executor-level differential: the same 40 random programs served
   // twice by a pooling executor and twice by a non-pooling one; all

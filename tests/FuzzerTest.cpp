@@ -16,6 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
+
 using namespace virgil;
 using namespace virgil::fuzz;
 
@@ -42,6 +47,9 @@ struct FeatureGate {
   bool corpus::GenConfig::*Flag;
   const char *Marker;
 };
+
+// Prints the gate by name so test IDs do not carry the member pointers.
+void PrintTo(const FeatureGate &Gate, std::ostream *OS) { *OS << Gate.Name; }
 
 class FuzzGeneratorGates : public ::testing::TestWithParam<FeatureGate> {};
 
@@ -109,6 +117,33 @@ TEST(FuzzOracle, AgreesAcrossSeedRange) {
     // Four strategies, each optimized and unoptimized.
     EXPECT_EQ(Report.Runs.size(), 8u);
   }
+}
+
+TEST(FuzzOracle, LegNamesArePinned) {
+  // Reproducer metadata and CI logs name the legs: every requested leg
+  // keeps its name and its place, pipeline by pipeline.
+  OracleConfig Config;
+  Config.VmPooled = true;
+  Config.Legs = {Feature::Jit, Feature::Ssa, Feature::Escape, Feature::Share};
+  OracleReport Report =
+      DifferentialOracle(Config).check(corpus::genRandomProgram(3));
+  ASSERT_EQ(Report.Kind, Outcome::Agree) << Report.Detail;
+  std::vector<std::string> Want;
+  for (std::string P :
+       {"", "/share", "/escape", "/ssa", "/no-opt", "/no-opt/share"}) {
+    if (P == "" || P == "/no-opt") {
+      Want.push_back("poly-interp" + P);
+      Want.push_back("mono-interp" + P);
+    }
+    Want.push_back("norm-interp" + P);
+    for (const char *Vm :
+         {"vm", "vm+jit", "vm+jit-warm", "vm+pool", "vm+pool+jit"})
+      Want.push_back(Vm + P);
+  }
+  std::vector<std::string> Got;
+  for (const StrategyRun &Run : Report.Runs)
+    Got.push_back(Run.Name);
+  EXPECT_EQ(Got, Want);
 }
 
 TEST(FuzzOracle, AgreesWithReducedFeatureConfigs) {
@@ -313,72 +348,54 @@ TEST(FuzzDriver, TinyNurserySweepIsClean) {
   EXPECT_EQ(Summary.SeedsRun, 200u);
 }
 
-// Warm-pool sweep: every seed also runs the "vm+pool" strategy — the
-// same VM run twice through the snapshot/reset reuse protocol, with
-// the second run reported. Any divergence (value, output, or trap
-// diagnostic) breaks the pool's observational-invisibility contract,
-// so this is the fuzz-strength backstop behind virgild's --vm-pool.
-TEST(FuzzDriver, PooledVmSweepIsClean) {
+// Forced-on leg sweeps, 200 seeds each: every seed also runs the legs
+// OracleConfig documents for the requested entries — warm-pool reuse
+// (the second run of a snapshot-reset VM is reported), each table
+// knob's forced-on legs (a recompile with sharing, escape analysis or
+// the SSA mid-tier on against baseline legs with it off; the JIT forced
+// on at threshold 0 and mid-run) and pool reuse with a live JIT, the
+// configuration virgild serves. Any divergence in value, output, trap
+// diagnostic or same-pipeline instruction count breaks that leg's
+// observational-invisibility contract, so these sweeps are the
+// fuzz-strength backstop behind each knob's flag and CI lane. Where the
+// JIT cannot run, its legs run interpreted and still check cleanly.
+struct LegSweep {
+  std::string Name;
+  bool Pooled;
+  std::vector<Feature> Legs;
+};
+
+void PrintTo(const LegSweep &S, std::ostream *OS) { *OS << S.Name; }
+
+std::vector<LegSweep> legSweeps() {
+  std::vector<LegSweep> Sweeps = {{"vm_pool", true, {}},
+                                  {"vm_pool_vm_jit", true, {Feature::Jit}}};
+  for (const FeatureInfo &F : features()) {
+    if (F.Fuzz != FuzzFlag::Leg)
+      continue;
+    std::string Name = F.Flag + 2; // "--mono-share" -> "mono_share"
+    std::replace(Name.begin(), Name.end(), '-', '_');
+    Sweeps.push_back({Name, false, {F.Id}});
+  }
+  return Sweeps;
+}
+
+class OracleLegSweep : public ::testing::TestWithParam<LegSweep> {};
+
+TEST_P(OracleLegSweep, IsClean) {
   FuzzOptions Options;
   Options.Seeds = 200;
   Options.Reduce = false;
-  Options.Oracle.VmPooled = true;
+  Options.Oracle.VmPooled = GetParam().Pooled;
+  Options.Oracle.Legs = GetParam().Legs;
   FuzzSummary Summary = Fuzzer(Options).run();
   EXPECT_TRUE(Summary.clean()) << Summary.toJson();
   EXPECT_EQ(Summary.SeedsRun, 200u);
 }
 
-// Sharing sweep: every seed also recompiles with specialization
-// sharing forced on (the baseline legs force it off) and runs the
-// shared pipeline's norm-interp and VM legs. Any divergence — value,
-// output, or trap diagnostic — breaks the sharing pass's
-// observational-invisibility contract
-// (src/mono/ShareSpecializations.h), so this is the fuzz-strength
-// backstop behind --mono-share and the CI share-stress lane.
-TEST(FuzzDriver, MonoShareSweepIsClean) {
-  FuzzOptions Options;
-  Options.Seeds = 200;
-  Options.Reduce = false;
-  Options.Oracle.MonoShare = true;
-  FuzzSummary Summary = Fuzzer(Options).run();
-  EXPECT_TRUE(Summary.clean()) << Summary.toJson();
-  EXPECT_EQ(Summary.SeedsRun, 200u);
-}
-
-// SSA sweep: every seed also recompiles with the SSA mid-tier forced
-// on (the baseline legs force it off, strict-SSA verification armed)
-// and runs the SSA pipeline's norm-interp and VM legs. Any divergence
-// — value, output, or trap diagnostic — breaks the sandwich's
-// observational-invisibility contract (src/ssa/Ssa.h), so this is the
-// fuzz-strength backstop behind --opt-ssa and the CI ssa-stress lane.
-TEST(FuzzDriver, SsaSweepIsClean) {
-  FuzzOptions Options;
-  Options.Seeds = 200;
-  Options.Reduce = false;
-  Options.Oracle.OptSsa = true;
-  FuzzSummary Summary = Fuzzer(Options).run();
-  EXPECT_TRUE(Summary.clean()) << Summary.toJson();
-  EXPECT_EQ(Summary.SeedsRun, 200u);
-}
-
-// JIT sweep: every seed also runs the "vm+jit" strategy — the same
-// program with the baseline JIT tier forced on at a mid threshold, so
-// hot functions execute natively and cold ones interpret, crossing
-// the tier boundary mid-run. Any divergence in results, output, trap
-// diagnostics, or the exact Instrs count breaks the tier-invisibility
-// contract (DESIGN.md §15), so this is the fuzz-strength backstop
-// behind --vm-jit and the CI release-jit-stress lane. On hosts where
-// the JIT cannot run, the strategy degrades to a plain VM leg and the
-// sweep still checks cleanly.
-TEST(FuzzDriver, JitVmSweepIsClean) {
-  FuzzOptions Options;
-  Options.Seeds = 200;
-  Options.Reduce = false;
-  Options.Oracle.VmJit = true;
-  FuzzSummary Summary = Fuzzer(Options).run();
-  EXPECT_TRUE(Summary.clean()) << Summary.toJson();
-  EXPECT_EQ(Summary.SeedsRun, 200u);
-}
+INSTANTIATE_TEST_SUITE_P(
+    FuzzDriver, OracleLegSweep, ::testing::ValuesIn(legSweeps()),
+    [](const ::testing::TestParamInfo<LegSweep> &I) { return I.param.Name; });
 
 // Engine-config differential: the same random programs under switch
 // dispatch, threaded dispatch, and the plain (unfused, uncached)

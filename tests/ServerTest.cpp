@@ -557,7 +557,7 @@ TEST(ServerTest, QuotaRequestsDoNotStarveNeighbors) {
   // The spin loop tiers into the JIT and can burn the default MaxFuel
   // cap (2^30) inside the 500ms deadline; raise the cap so the
   // deadline stays the binding quota regardless of execution tier.
-  Config.MaxFuel = ~0ull;
+  Config.Exec.MaxFuel = ~0ull;
   TestServer TS(Config);
   std::string Err1, Err2, Err3;
   ExecuteResponse R1, R2, R3;
@@ -933,7 +933,7 @@ TEST(ShardedServerTest, PooledAndUnpooledServersAgreeOnTheWire) {
   ServerConfig Pooled;
   Pooled.IoThreads = 2;
   ServerConfig Unpooled;
-  Unpooled.VmPool = false;
+  Unpooled.Exec.UsePool = false;
   TestServer TP(Pooled), TU(Unpooled);
   Client CP = TP.client(), CU = TU.client();
   std::string Err;

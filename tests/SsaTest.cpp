@@ -289,7 +289,7 @@ TEST(SsaTest, OracleInvisibility) {
   // diamond (the miscompile shape the visit-order proof guards),
   // loop-carried field traffic, and virtual dispatch.
   fuzz::OracleConfig Config;
-  Config.OptSsa = true;
+  Config.Legs = {Feature::Ssa};
   fuzz::DifferentialOracle Oracle(Config);
 
   fuzz::OracleReport R = Oracle.check(R"(

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-#===- tools/check_cli_exit_codes.sh - batch exit-code contract -----------===#
+#===- tools/check_cli_exit_codes.sh - virgilc exit-code contract ---------===#
 #
 # `virgilc batch` promises distinct exit codes so scripts and CI can
 # tell failure modes apart without scraping output:
@@ -9,6 +9,9 @@
 #   3  an input file could not be opened
 #   4  compiles succeeded but at least one --run trapped
 # Errors must go to stderr; stdout stays machine-friendly.
+#
+# Every feature-knob flag (src/core/Features.h) with a bad value is a
+# usage error (exit 2) in single, batch and fuzz mode alike.
 #
 # usage: check_cli_exit_codes.sh [path-to-virgilc]
 #
@@ -66,4 +69,19 @@ expect 0 "clean run"           batch --run "$DIR/good.v"
 # Compile failure beats trap when both occur in one batch.
 expect 1 "compile error + trap" batch --run "$DIR/bad_compile.v" "$DIR/traps.v"
 
-echo "PASS: batch exit codes 0/1/2/3/4 all verified"
+# One bad value per knob flag. Single mode parses every knob strictly;
+# batch takes only the compile-layer knobs and fuzz only those its Fuzz
+# column names, so there the rest are unknown options: exit 2 either way.
+for Case in "--mono-share maybe" "--opt-escape 1" "--opt-ssa yes" \
+            "--vm-jit sometimes" "--jit-threshold 12ms" "--vm-gc copying" \
+            "--vm-nursery-bytes 4096x"; do
+  read -r Flag Bad <<< "$Case"
+  expect 2 "single $Case" "$Flag" "$Bad" "$DIR/good.v"
+  expect 2 "batch $Case"  batch "$Flag" "$Bad" "$DIR/good.v"
+  expect 2 "fuzz $Case"   fuzz --seeds 1 "$Flag" "$Bad"
+done
+expect 0 "every knob set" --mono-share off --opt-escape off --opt-ssa off \
+  --vm-jit on --jit-threshold 0 --vm-gc semi --vm-nursery-bytes 4096 \
+  -e 'def main() -> int { return 0; }'
+
+echo "PASS: batch exit codes 0/1/2/3/4 and knob usage errors all verified"

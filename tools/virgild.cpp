@@ -22,31 +22,17 @@
 ///   --heap-max-bytes N   default per-request heap quota (caps the
 ///                        request VM's nursery + old space combined)
 ///   --deadline-ms N      default per-request wall-clock budget
-///   --vm-gc M            request heap mode: gen (default) | semi
-///   --vm-nursery-bytes N nursery size for generational request heaps
 ///   --vm-pool on|off     warm-VM pool: repeat sources reuse a reset
 ///                        VM instead of recompiling + re-preparing
 ///                        (default on)
 ///   --vm-pool-size N     warm VMs retained per worker (default 8)
-///   --vm-jit M           request-VM JIT tier: on | off | auto
-///                        (default: the VIRGIL_VM_JIT environment
-///                        setting, auto); totals appear in the STATS
-///                        "jit" section
-///   --jit-threshold N    calls + backward branches before a function
-///                        tiers up (default: VIRGIL_VM_JIT_THRESHOLD,
-///                        64; 0 compiles on first execution)
 ///   --no-opt             compile without the optimizer
-///   --mono-share on|off  specialization sharing (default: the
-///                        VIRGIL_MONO_SHARE environment setting, on);
-///                        totals appear in the STATS "mono" section
-///   --opt-escape on|off  escape analysis + scalar replacement
-///                        (default: the VIRGIL_OPT_ESCAPE environment
-///                        setting, on); totals appear in the STATS
-///                        "opt" section
-///   --opt-ssa on|off     SSA mid-tier: pruned-SSA construction, SCCP,
-///                        load/store elimination (default: the
-///                        VIRGIL_OPT_SSA environment setting, on);
-///                        totals appear in the STATS "opt" section
+///   --<knob> VALUE       any feature knob of core/Features.h, with the
+///                        same spellings as virgilc (--mono-share on|off,
+///                        --vm-jit on|off|auto, --vm-nursery-bytes N,
+///                        ...); the default is the knob's environment
+///                        setting, and STATS reports each knob's setting
+///                        next to its totals
 ///   --stats-on-exit      print the final STATS JSON to stdout on drain
 ///
 /// Exit codes: 0 clean drain, 1 startup failure, 2 usage error.
@@ -58,8 +44,8 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -89,15 +75,6 @@ static void usage() {
       "               [--stats-on-exit]\n");
 }
 
-static bool parseU64(const char *S, uint64_t *Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (!End || End == S || *End != '\0')
-    return false;
-  *Out = (uint64_t)V;
-  return true;
-}
-
 int main(int Argc, char **Argv) {
   ServerConfig Config;
   Config.TcpPort = -1;
@@ -115,21 +92,21 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "virgild: --tcp needs HOST:PORT\n");
         return 2;
       }
-      if (!parseU64(Spec.c_str() + Colon + 1, &N) || N > 65535) {
+      if (!parseUnsigned(Spec.c_str() + Colon + 1, 0, 65535, &N)) {
         std::fprintf(stderr, "virgild: bad port in '%s'\n", Spec.c_str());
         return 2;
       }
       Config.TcpHost = Spec.substr(0, Colon);
       Config.TcpPort = (int)N;
     } else if (Arg == "--workers" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N)) {
+      if (!parseUnsigned(Argv[++I], 0, UINT64_MAX, &N)) {
         std::fprintf(stderr, "virgild: bad --workers\n");
         return 2;
       }
       Config.Workers =
           N == 0 ? (int)std::thread::hardware_concurrency() : (int)N;
     } else if (Arg == "--io-threads" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N > 64) {
+      if (!parseUnsigned(Argv[++I], 0, 64, &N)) {
         std::fprintf(stderr, "virgild: bad --io-threads\n");
         return 2;
       }
@@ -138,21 +115,21 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--vm-pool" && I + 1 < Argc) {
       std::string Mode = Argv[++I];
       if (Mode == "on") {
-        Config.VmPool = true;
+        Config.Exec.UsePool = true;
       } else if (Mode == "off") {
-        Config.VmPool = false;
+        Config.Exec.UsePool = false;
       } else {
         std::fprintf(stderr, "virgild: --vm-pool is on|off\n");
         return 2;
       }
     } else if (Arg == "--vm-pool-size" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N == 0 || N > 4096) {
+      if (!parseUnsigned(Argv[++I], 1, 4096, &N)) {
         std::fprintf(stderr, "virgild: bad --vm-pool-size\n");
         return 2;
       }
-      Config.VmPoolSize = (int)N;
+      Config.Exec.PoolSize = (size_t)N;
     } else if (Arg == "--queue-cap" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N == 0) {
+      if (!parseUnsigned(Argv[++I], 1, UINT64_MAX, &N)) {
         std::fprintf(stderr, "virgild: bad --queue-cap\n");
         return 2;
       }
@@ -160,93 +137,34 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--cache-dir" && I + 1 < Argc) {
       Config.CacheDir = Argv[++I];
     } else if (Arg == "--cache-max-bytes" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &Config.CacheMaxBytes)) {
+      if (!parseUnsigned(Argv[++I], 0, UINT64_MAX, &Config.CacheMaxBytes)) {
         std::fprintf(stderr, "virgild: bad --cache-max-bytes\n");
         return 2;
       }
     } else if (Arg == "--fuel" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &Config.DefaultFuel)) {
+      if (!parseUnsigned(Argv[++I], 0, UINT64_MAX,
+                         &Config.Exec.DefaultFuel)) {
         std::fprintf(stderr, "virgild: bad --fuel\n");
         return 2;
       }
     } else if (Arg == "--heap-max-bytes" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &Config.DefaultHeapBytes)) {
+      if (!parseUnsigned(Argv[++I], 0, UINT64_MAX,
+                         &Config.Exec.DefaultHeapBytes)) {
         std::fprintf(stderr, "virgild: bad --heap-max-bytes\n");
         return 2;
       }
     } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N)) {
+      if (!parseUnsigned(Argv[++I], 0, UINT64_MAX, &N)) {
         std::fprintf(stderr, "virgild: bad --deadline-ms\n");
         return 2;
       }
-      Config.DefaultDeadlineMs = (uint32_t)N;
-    } else if (Arg == "--vm-gc" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "gen" || Mode == "generational") {
-        Config.VmGenerational = true;
-      } else if (Mode == "semi" || Mode == "semispace") {
-        Config.VmGenerational = false;
-      } else {
-        std::fprintf(stderr, "virgild: unknown --vm-gc mode '%s'\n",
-                     Mode.c_str());
-        return 2;
-      }
-    } else if (Arg == "--vm-nursery-bytes" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N < 128 || N > (1ull << 30)) {
-        std::fprintf(stderr, "virgild: bad --vm-nursery-bytes\n");
-        return 2;
-      }
-      Config.VmNurseryBytes = (uint32_t)N;
-    } else if (Arg == "--vm-jit" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.VmJit = VmOptions::JitMode::On;
-      } else if (Mode == "off") {
-        Config.VmJit = VmOptions::JitMode::Off;
-      } else if (Mode == "auto") {
-        Config.VmJit = VmOptions::JitMode::Auto;
-      } else {
-        std::fprintf(stderr, "virgild: --vm-jit is on|off|auto\n");
-        return 2;
-      }
-    } else if (Arg == "--jit-threshold" && I + 1 < Argc) {
-      if (!parseU64(Argv[++I], &N) || N >= 0xFFFFFFFFull) {
-        std::fprintf(stderr, "virgild: bad --jit-threshold\n");
-        return 2;
-      }
-      Config.VmJitThreshold = (uint32_t)N;
+      Config.Exec.DefaultDeadlineMs = (uint32_t)N;
     } else if (Arg == "--no-opt") {
       Config.Compile.Optimize = false;
-    } else if (Arg == "--mono-share" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.Compile.ShareSpecializations = true;
-      } else if (Mode == "off") {
-        Config.Compile.ShareSpecializations = false;
-      } else {
-        std::fprintf(stderr, "virgild: --mono-share is on|off\n");
+    } else if (int K = parseFeatureFlag("virgild", I, Argc, Argv,
+                                        &Config.Compile, &Config.Exec.Vm)) {
+      if (K < 0)
         return 2;
-      }
-    } else if (Arg == "--opt-escape" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.Compile.Opt.Escape = true;
-      } else if (Mode == "off") {
-        Config.Compile.Opt.Escape = false;
-      } else {
-        std::fprintf(stderr, "virgild: --opt-escape is on|off\n");
-        return 2;
-      }
-    } else if (Arg == "--opt-ssa" && I + 1 < Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "on") {
-        Config.Compile.Opt.Ssa = true;
-      } else if (Mode == "off") {
-        Config.Compile.Opt.Ssa = false;
-      } else {
-        std::fprintf(stderr, "virgild: --opt-ssa is on|off\n");
-        return 2;
-      }
     } else if (Arg == "--stats-on-exit") {
       StatsOnExit = true;
     } else {
@@ -290,7 +208,7 @@ int main(int Argc, char **Argv) {
                Config.Workers < Config.IoThreads ? Config.IoThreads
                                                  : Config.Workers,
                Config.QueueCap,
-               Config.VmPool ? "on" : "off",
+               Config.Exec.UsePool ? "on" : "off",
                Config.CacheDir.empty() ? "off"
                                        : Config.CacheDir.c_str());
 
