@@ -80,9 +80,12 @@ def main() -> int { return 7; }
   // and serialized module size. code_expansion_ratio (normalized
   // instructions off / on) is the gated headline: it answers "how much
   // of the monomorphization blow-up does sharing reclaim on ref-heavy
-  // generic code". Serialized bytes move less than instructions
-  // because the v2 serializer already back-references identical body
-  // blobs even when IR sharing is off.
+  // generic code". The specializations are vtable overrides main
+  // dispatches through (genLiveShareWorkload), so they survive
+  // inlining and dead-function elimination: the ratio measures sharing
+  // of code the program can run. Serialized bytes move less than
+  // instructions because the v2 serializer already back-references
+  // identical body blobs even when IR sharing is off.
   std::printf("\n-- specialization sharing on ref instantiations "
               "(E16) --\n");
   std::printf("%-12s %7s %6s %8s %7s %10s %9s %7s\n", "workload",
@@ -92,7 +95,7 @@ def main() -> int { return 7; }
   double HeadlineBytesRatio = 0;
   for (int G : {1, 2, 4}) {
     for (int I : {2, 4, 8}) {
-      std::string Src = corpus::genShareWorkload(G, I);
+      std::string Src = corpus::genLiveShareWorkload(G, I);
       CompilerOptions Off, On;
       Off.ShareSpecializations = false;
       On.ShareSpecializations = true;
@@ -120,7 +123,7 @@ def main() -> int { return 7; }
   // Runtime leg of the sharing story: identical throughput with
   // sharing on and off (the merged bodies are observationally the
   // same code), so the expansion win is free at run time.
-  std::string ShareHot = corpus::genShareWorkload(4, 8, 3000);
+  std::string ShareHot = corpus::genLiveShareWorkload(4, 8, 3000);
   CompilerOptions ShOff, ShOn;
   ShOff.ShareSpecializations = false;
   ShOn.ShareSpecializations = true;

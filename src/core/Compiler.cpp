@@ -213,16 +213,16 @@ std::unique_ptr<Program> Compiler::compile(const std::string &Name,
   // print the module it is rewriting (the "ssa"/"sccp"/"loadelim"
   // dumps fire while that module is still in SSA form, phis visible).
   auto OptWithDump = [&](IrModule &M, const char *Phase) {
-    OptOptions OO = Options.Opt;
+    PassDumpFn Dump;
     if (!Options.DumpIrAfter.empty()) {
-      OO.DumpAfter = [&M, Phase, this](const char *Name) {
+      Dump = [&M, Phase, this](const char *Name) {
         if (Options.DumpIrAfter != Name)
           return;
         std::printf("// after %s (%s)\n%s", Name, Phase,
                     printModule(M).c_str());
       };
     }
-    return optimizeModule(M, OO);
+    return optimizeModule(M, Options.Opt, Dump);
   };
   if (Options.Optimize) {
     P->Stats.OptAfterMono = OptWithDump(*P->MonoIr, "opt-mono");

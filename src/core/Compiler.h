@@ -64,7 +64,7 @@ struct CompilerOptions {
   bool ShareSpecializations = defaultMonoShareEnabled();
   /// When non-empty, print the IR (via IrPrinter) to stdout after every
   /// run of the named optimizer pass — `virgilc --dump-ir=<pass>`.
-  /// Accepts the OptOptions::DumpAfter names; "ssa"/"sccp"/"loadelim"
+  /// Accepts the PassDumpFn pass names (opt/PassManager.h); "ssa"/"sccp"/"loadelim"
   /// dump while the module is still in SSA form, with phis visible.
   std::string DumpIrAfter;
 };

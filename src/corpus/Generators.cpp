@@ -225,6 +225,50 @@ std::string corpus::genShareWorkload(int Generics, int Insts, int Reps) {
   return OS.str();
 }
 
+std::string corpus::genLiveShareWorkload(int Generics, int Insts,
+                                         int Reps) {
+  std::ostringstream OS;
+  OS << "class List<T> {\n  var head: T;\n  var tail: List<T>;\n"
+     << "  new(head, tail) { }\n}\n";
+  for (int I = 0; I != Insts; ++I)
+    OS << "class C" << I << " { }\n";
+  OS << "class Walker {\n  def walk() -> int { return 0; }\n}\n";
+  for (int G = 0; G != Generics; ++G) {
+    // The per-G constants keep the traversers distinct from each other
+    // while every instantiation of one stays identical.
+    OS << "class Walk" << G << "<T> extends Walker {\n"
+       << "  var l: List<T>;\n"
+       << "  new(l) { }\n"
+       << "  def walk() -> int {\n"
+       << "    var c = 0;\n"
+       << "    var n = 0;\n"
+       << "    for (k = l; k != null; k = k.tail) {\n"
+       << "      n = n + 1;\n"
+       << "      if (k.tail != null) c = c + n * " << (G + 1) << ";\n"
+       << "      else c = c + " << (G + 2) << ";\n"
+       << "    }\n"
+       << "    return c * " << (G + 3) << " + n;\n"
+       << "  }\n}\n";
+  }
+  OS << "def main() -> int {\n";
+  for (int I = 0; I != Insts; ++I)
+    OS << "  var l" << I << " = List.new(C" << I << ".new(), List.new(C"
+       << I << ".new(), null));\n";
+  OS << "  var ws = Array<Walker>.new(" << Generics * Insts << ");\n";
+  for (int G = 0; G != Generics; ++G)
+    for (int I = 0; I != Insts; ++I)
+      OS << "  ws[" << G * Insts + I << "] = Walk" << G << "<C" << I
+         << ">.new(l" << I << ");\n";
+  OS << "  var acc = 0;\n";
+  if (Reps > 1)
+    OS << "  for (rep = 0; rep < " << Reps << "; rep = rep + 1) {\n";
+  OS << "  for (i = 0; i < ws.length; i = i + 1) acc = acc + ws[i].walk();\n";
+  if (Reps > 1)
+    OS << "  }\n";
+  OS << "  return acc;\n}\n";
+  return OS.str();
+}
+
 std::string corpus::genMatcherWorkload(int Handlers, int Iters) {
   std::ostringstream OS;
   OS << R"(

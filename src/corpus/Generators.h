@@ -44,12 +44,25 @@ std::string genExpansionWorkload(int Generics, int Insts, int Reps = 1);
 /// generic code) each instantiated at \p Insts distinct *class* types.
 /// Every ref instantiation of one traverser normalizes to the same
 /// body, so specialization sharing collapses the Generics x Insts
-/// specializations back to Generics — the best case the sharing pass
-/// exists for, and the workload behind the code_expansion_ratio gate.
+/// specializations back to Generics. The optimizer inlines every
+/// traverser into main and then drops the bodies as dead, so the
+/// code_expansion_ratio gate measures genLiveShareWorkload instead.
 /// \p Reps wraps main's traversal calls in a loop for runtime sweeps
 /// (the hot loop allocates nothing, so throughput isolates call/body
 /// effects of sharing from GC noise).
 std::string genShareWorkload(int Generics, int Insts, int Reps = 1);
+
+/// E16: genShareWorkload's sharing pressure on code that stays live.
+/// Each of the \p Generics traversers is a generic subclass of one
+/// `Walker` base overriding its virtual `walk()`, allocated at \p Insts
+/// distinct class types into one `Array<Walker>` that main dispatches
+/// through, so every specialization is a vtable entry the optimizer can
+/// neither devirtualize nor delete. Every ref instantiation of one
+/// traverser normalizes to the same body: sharing collapses the
+/// Generics x Insts overrides back to Generics — the workload behind
+/// the code_expansion_ratio gate. \p Reps wraps the dispatch loop for
+/// runtime sweeps (the loop allocates nothing).
+std::string genLiveShareWorkload(int Generics, int Insts, int Reps = 1);
 
 /// E6: a polymorphic matcher with \p Handlers handlers dispatched
 /// \p Iters times.

@@ -17,12 +17,12 @@ double msSince(Clock::time_point Start) {
       .count();
 }
 
-/// Effective quota: the request's value clamped to the maximum, or the
-/// default when the request passes 0.
+/// Effective quota: the request's value, or the default when the
+/// request passes 0, clamped to the maximum. To the VM a quota of 0
+/// means unlimited, so a default of 0 resolves to the maximum too.
 uint64_t clampQuota(uint64_t Requested, uint64_t Default, uint64_t Max) {
-  if (Requested == 0)
-    return Default;
-  return Requested < Max ? Requested : Max;
+  uint64_t Quota = Requested ? Requested : Default;
+  return Quota == 0 || Quota > Max ? Max : Quota;
 }
 
 Outcome outcomeForTrap(VmTrapCause Cause) {

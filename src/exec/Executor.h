@@ -99,7 +99,9 @@ struct OptCounters {
 
 struct ExecutorConfig {
   /// Default and maximum per-request quotas. A request may specify
-  /// tighter values; anything above the maximum is clamped.
+  /// tighter values; anything above the maximum is clamped, and so is
+  /// a default above it. A default of 0 means the maximum (never
+  /// unlimited).
   uint64_t DefaultFuel = 200u << 20;     // ~200M instructions
   uint64_t DefaultHeapBytes = 64u << 20; // 64 MiB
   uint32_t DefaultDeadlineMs = 5000;

@@ -173,3 +173,52 @@ bool virgil::isPure(Opcode Op) {
     return false;
   }
 }
+
+uint64_t virgil::fingerprint(const IrFunction &F) {
+  // xor-then-multiply by an odd constant is a bijection on H for each
+  // word, so any single-word difference always changes the result.
+  uint64_t H = 0x243f6a8885a308d3ull;
+  auto mix = [&H](uint64_t V) { H = (H ^ V) * 0x9e3779b97f4a7c15ull; };
+  auto mixPtr = [&mix](const void *P) { mix((uint64_t)(uintptr_t)P); };
+
+  // Successors hash by position, so a body that is rebuilt with fresh
+  // but isomorphic blocks still hashes equal.
+  numberBlocks(F);
+  auto posOf = [&F](const IrBlock *B) -> uint64_t {
+    if (!B)
+      return ~0ull;
+    return B->Pos < F.Blocks.size() && F.Blocks[B->Pos] == B ? B->Pos
+                                                             : ~1ull;
+  };
+
+  mix(F.NumParams);
+  mix(F.RegTypes.size());
+  for (Type *T : F.RegTypes)
+    mixPtr(T);
+  mix(F.RetTypes.size());
+  for (Type *T : F.RetTypes)
+    mixPtr(T);
+  mix(F.Blocks.size());
+  for (const IrBlock *B : F.Blocks) {
+    mix(B->Instrs.size());
+    for (const IrInstr *I : B->Instrs) {
+      mix((uint64_t)I->Op | (uint64_t)I->Dsts.size() << 8 |
+          (uint64_t)I->Args.size() << 24 |
+          (uint64_t)I->TypeArgs.size() << 40);
+      for (Reg R : I->Dsts)
+        mix(R);
+      for (Reg R : I->Args)
+        mix(R);
+      mixPtr(I->Ty);
+      mixPtr(I->TypeOperand);
+      mixPtr(I->Callee);
+      for (Type *T : I->TypeArgs)
+        mixPtr(T);
+      mix((uint64_t)I->IntConst);
+      mix((uint64_t)(int64_t)I->Index);
+    }
+    mix(posOf(B->Succ0));
+    mix(posOf(B->Succ1));
+  }
+  return H;
+}

@@ -181,6 +181,12 @@ public:
     return Instrs.empty() ? nullptr : Instrs.back();
   }
 
+  /// Scratch dense index: this block's position in its function's
+  /// block list as of the last numberBlocks() (or ssa::DomTree::compute).
+  /// Trust it only after checking F.Blocks[Pos] == this; a block list
+  /// that has not changed since then always numbers the same.
+  uint32_t Pos = ~0u;
+
 private:
   uint32_t Id;
 };
@@ -263,6 +269,19 @@ public:
 private:
   uint32_t Id;
 };
+
+/// Stamps every block of \p F with its position (IrBlock::Pos).
+inline void numberBlocks(const IrFunction &F) {
+  for (size_t I = 0; I != F.Blocks.size(); ++I)
+    F.Blocks[I]->Pos = (uint32_t)I;
+}
+
+/// A structural hash of \p F: parameter, register and return types, and
+/// every block's instructions and successor positions (block ids and
+/// source locations excluded). Passes compare it before and after a
+/// rewrite to report only net changes; equal bodies hash equal, and a
+/// collision can at worst make the optimizer skip a revisit.
+uint64_t fingerprint(const IrFunction &F);
 
 /// A module-level mutable or immutable value.
 struct IrGlobal {

@@ -26,10 +26,11 @@ struct Const {
 
 } // namespace
 
-size_t virgil::foldConstants(IrModule &M, OptStats &Stats) {
+size_t virgil::foldConstants(IrModule &M, FunctionSpan Fns,
+                             OptStats &Stats) {
   TypeRelations Rels(*M.Types);
   size_t Changes = 0;
-  for (IrFunction *F : M.Functions) {
+  for (IrFunction *F : Fns) {
     for (IrBlock *B : F->Blocks) {
       std::map<Reg, Const> Env;
       auto known = [&](Reg R) -> Const {

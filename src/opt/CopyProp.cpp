@@ -14,9 +14,9 @@
 
 using namespace virgil;
 
-size_t virgil::propagateCopies(IrModule &M, OptStats &Stats) {
+size_t virgil::propagateCopies(FunctionSpan Fns, OptStats &Stats) {
   size_t Changes = 0;
-  for (IrFunction *F : M.Functions) {
+  for (IrFunction *F : Fns) {
     for (IrBlock *B : F->Blocks) {
       // Dst -> current source register.
       std::map<Reg, Reg> Copies;

@@ -62,16 +62,16 @@ bool shapeMatches(const IrInstr *I, const IrFunction *Impl) {
 size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
                       const ssa::DomTree &DT, OptStats &Stats) {
   size_t Changes = 0;
-  // Single-definition map: Defs[r] is r's unique defining instruction
-  // plus its block and index, or absent when r has 0 or >1 defs (or is
-  // a parameter, which counts as an implicit definition).
+  // Single-definition table: Defs[r] is r's last defining instruction
+  // plus its block and index, meaningful when DefCount[r] == 1 (a
+  // parameter counts as an implicit definition).
   struct DefSite {
-    IrInstr *I;
-    IrBlock *B;
-    size_t Idx;
+    IrInstr *I = nullptr;
+    IrBlock *B = nullptr;
+    size_t Idx = 0;
   };
-  std::map<Reg, DefSite> Defs;
-  std::map<Reg, int> DefCount;
+  std::vector<DefSite> Defs(F->RegTypes.size());
+  std::vector<uint32_t> DefCount(F->RegTypes.size(), 0);
   for (Reg P = 0; P != F->NumParams; ++P)
     ++DefCount[P];
   for (IrBlock *B : F->Blocks)
@@ -101,15 +101,12 @@ size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
       // proves the receiver non-null: the one def always runs first,
       // which is why this form needs no null.check.
       Reg Recv = I->Args[0];
-      auto DC = DefCount.find(Recv);
-      auto DS = Defs.find(Recv);
+      const DefSite &DS = Defs[Recv];
       bool DefDominates =
-          DS != Defs.end() &&
-          (DS->second.B == B ? DS->second.Idx < Idx
-                             : DT.dominates(DS->second.B, B));
-      if (DC != DefCount.end() && DC->second == 1 && DS != Defs.end() &&
-          DS->second.I->Op == Opcode::NewObject && DefDominates) {
-        IrClass *Exact = CH.resolve(DS->second.I->TypeOperand);
+          DS.I && (DS.B == B ? DS.Idx < Idx : DT.dominates(DS.B, B));
+      if (DefCount[Recv] == 1 && DS.I &&
+          DS.I->Op == Opcode::NewObject && DefDominates) {
+        IrClass *Exact = CH.resolve(DS.I->TypeOperand);
         if (Exact && (size_t)I->Index < Exact->VTable.size() &&
             Exact->VTable[I->Index] &&
             shapeMatches(I, Exact->VTable[I->Index])) {
@@ -162,7 +159,7 @@ size_t devirtFunction(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
 
 } // namespace
 
-size_t virgil::devirtualize(IrModule &M, OptStats &Stats,
+size_t virgil::devirtualize(IrModule &M, FunctionSpan Fns, OptStats &Stats,
                             ssa::DominatorAnalysis *DomA) {
   // Direct calls created here carry no type arguments, so this pass is
   // only sound once monomorphization has erased them.
@@ -182,8 +179,15 @@ size_t virgil::devirtualize(IrModule &M, OptStats &Stats,
   ssa::DominatorAnalysis Local;
   ssa::DominatorAnalysis &DA = DomA ? *DomA : Local;
   size_t Changes = 0;
-  for (IrFunction *F : M.Functions)
-    if (!F->Blocks.empty())
+  for (IrFunction *F : Fns) {
+    // Most bodies have no virtual call left: skip them before paying
+    // for a dominator tree.
+    bool HasVirtual = false;
+    for (IrBlock *B : F->Blocks)
+      for (IrInstr *I : B->Instrs)
+        HasVirtual |= I->Op == Opcode::CallVirtual;
+    if (HasVirtual)
       Changes += devirtFunction(M, F, CH, DA.get(F), Stats);
+  }
   return Changes;
 }

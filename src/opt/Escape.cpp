@@ -564,7 +564,8 @@ size_t scalarizeObjects(IrModule &M, IrFunction *F, const ClassHierarchy &CH,
 // Entry point
 //===----------------------------------------------------------------------===//
 
-size_t virgil::scalarReplaceAllocations(IrModule &M, OptStats &Stats,
+size_t virgil::scalarReplaceAllocations(IrModule &M, FunctionSpan Fns,
+                                        OptStats &Stats,
                                         ssa::DominatorAnalysis *DomA) {
   // Object layouts must be concrete and scalar-only (post-mono,
   // post-norm), and shared modules carry representative metadata the
@@ -577,7 +578,7 @@ size_t virgil::scalarReplaceAllocations(IrModule &M, OptStats &Stats,
   ssa::DominatorAnalysis Local;
   ssa::DominatorAnalysis &DA = DomA ? *DomA : Local;
   size_t Changes = 0;
-  for (IrFunction *F : M.Functions) {
+  for (IrFunction *F : Fns) {
     if (F->Blocks.empty())
       continue;
     const ssa::DomTree &DT = DA.get(F);

@@ -35,6 +35,7 @@
 #include "ir/Ir.h"
 
 #include <map>
+#include <span>
 #include <vector>
 
 namespace virgil {
@@ -68,14 +69,16 @@ private:
   std::map<const IrClass *, std::vector<IrClass *>> Subtree;
 };
 
-/// Scalar-replaces non-escaping `NewObject`/`MakeClosure` allocations.
+/// Scalar-replaces non-escaping `NewObject`/`MakeClosure` allocations
+/// in \p Fns.
 /// Runs only on monomorphized, normalized, unshared modules (it needs
 /// concrete layouts, scalar-only field types, and real — not
 /// representative — callee metadata); returns the number of rewrites.
 /// When \p DomA is supplied the pass reads the shared memoized
 /// dominator trees instead of re-deriving per-function dominance (the
 /// rewrites here never change the CFG, so the trees stay valid).
-size_t scalarReplaceAllocations(IrModule &M, OptStats &Stats,
+size_t scalarReplaceAllocations(IrModule &M, std::span<IrFunction *const> Fns,
+                                OptStats &Stats,
                                 ssa::DominatorAnalysis *DomA = nullptr);
 
 } // namespace virgil

@@ -13,7 +13,7 @@
 #include "opt/PassManager.h"
 
 #include <cassert>
-#include <map>
+#include <vector>
 
 using namespace virgil;
 
@@ -70,21 +70,22 @@ void inlineAt(IrModule &M, IrFunction *F, IrBlock *B, size_t Pos) {
     B->Instrs.push_back(Mv);
   }
 
-  // Clone G's blocks (pointer-keyed: ids may be stale after other
+  // Clone G's blocks (position-keyed: ids may be stale after other
   // passes).
-  std::map<IrBlock *, IrBlock *> BlockMap;
+  numberBlocks(*G);
+  std::vector<IrBlock *> BlockMap(G->Blocks.size());
   for (size_t I = 0; I != G->Blocks.size(); ++I) {
     auto *NB = M.Nodes.make<IrBlock>((uint32_t)F->Blocks.size());
     F->Blocks.push_back(NB);
-    BlockMap[G->Blocks[I]] = NB;
+    BlockMap[I] = NB;
   }
   for (size_t BI = 0; BI != G->Blocks.size(); ++BI) {
     IrBlock *GB = G->Blocks[BI];
-    IrBlock *NB = BlockMap[GB];
+    IrBlock *NB = BlockMap[BI];
     if (GB->Succ0)
-      NB->Succ0 = BlockMap[GB->Succ0];
+      NB->Succ0 = BlockMap[GB->Succ0->Pos];
     if (GB->Succ1)
-      NB->Succ1 = BlockMap[GB->Succ1];
+      NB->Succ1 = BlockMap[GB->Succ1->Pos];
     for (IrInstr *GI : GB->Instrs) {
       if (GI->Op == Opcode::Ret) {
         // Return values flow into the call's destinations.
@@ -117,13 +118,19 @@ void inlineAt(IrModule &M, IrFunction *F, IrBlock *B, size_t Pos) {
   auto *Jump = M.Nodes.make<IrInstr>();
   Jump->Op = Opcode::Br;
   B->Instrs.push_back(Jump);
-  B->Succ0 = BlockMap[G->Blocks[0]];
+  B->Succ0 = BlockMap[0];
   B->Succ1 = nullptr;
 }
 
 } // namespace
 
-size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
+bool virgil::isInlinable(const IrFunction &G, size_t InstrLimit) {
+  return !G.Blocks.empty() && G.TypeParams.empty() &&
+         instrCount(&G) <= InstrLimit && !callsSelf(&G);
+}
+
+size_t virgil::inlineCalls(IrModule &M, FunctionSpan Fns, size_t InstrLimit,
+                           OptStats &Stats) {
   size_t Changes = 0;
   // Specialization sharing runs after the last optimizer round; a
   // shared module's register *types* are the representative's and may
@@ -131,20 +138,21 @@ size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
   // registers into the caller by type) must never see one.
   if (M.Shared)
     return 0;
-  // Budget sizes are memoized per round (one inlineCalls call = one
-  // round): recomputing from the current IR each round — instead of
-  // caching a pre-round size — means a callee shrunk by scalar
-  // replacement or DCE becomes inlinable as soon as it actually fits.
-  // Entries are invalidated when a function inlines something (its own
-  // size just changed).
-  std::map<const IrFunction *, size_t> Sizes;
-  auto sizeOf = [&](const IrFunction *G) {
-    auto It = Sizes.find(G);
-    if (It != Sizes.end())
-      return It->second;
-    return Sizes.emplace(G, instrCount(G)).first->second;
+  // Callee verdicts (budget and self-recursion), by function id: -1
+  // unknown, 0 no, 1 inlinable. Memoized per round (one inlineCalls
+  // call = one round): recomputing from the current IR each round —
+  // instead of caching a pre-round size — means a callee shrunk by
+  // scalar replacement or DCE becomes inlinable as soon as it actually
+  // fits. An entry is reset when its function inlines something (its
+  // own size just changed).
+  std::vector<signed char> Fits(M.Functions.size(), -1);
+  auto fits = [&](const IrFunction *G) {
+    signed char &V = Fits[G->id()];
+    if (V < 0)
+      V = isInlinable(*G, InstrLimit);
+    return V != 0;
   };
-  for (IrFunction *F : M.Functions) {
+  for (IrFunction *F : Fns) {
     // One inline per block scan; repeated pass-manager rounds pick up
     // the rest. Bounded to keep a single round linear-ish.
     size_t BudgetPerFunction = 32;
@@ -161,10 +169,10 @@ size_t virgil::inlineCalls(IrModule &M, size_t InstrLimit, OptStats &Stats) {
           continue; // Inline only monomorphic callees.
         if (I->Args.size() != G->NumParams)
           continue; // Shape-adapted interpreter-only call.
-        if (sizeOf(G) > InstrLimit || callsSelf(G))
+        if (!fits(G))
           continue;
         inlineAt(M, F, B, Pos);
-        Sizes.erase(F);
+        Fits[F->id()] = -1;
         ++Changes;
         ++Stats.CallsInlined;
         --BudgetPerFunction;

@@ -17,16 +17,15 @@
 using namespace virgil;
 using namespace virgil::ssa;
 
-std::map<const IrBlock *, std::vector<PredEdge>>
+std::vector<std::vector<PredEdge>>
 virgil::ssa::computePredEdges(const IrFunction &F) {
-  std::map<const IrBlock *, std::vector<PredEdge>> Preds;
-  for (IrBlock *B : F.Blocks)
-    Preds[B]; // Ensure every block has an entry.
+  numberBlocks(F);
+  std::vector<std::vector<PredEdge>> Preds(F.Blocks.size());
   for (IrBlock *B : F.Blocks) {
     if (B->Succ0)
-      Preds[B->Succ0].push_back({B, 0});
+      Preds[B->Succ0->Pos].push_back({B, 0});
     if (B->Succ1)
-      Preds[B->Succ1].push_back({B, 1});
+      Preds[B->Succ1->Pos].push_back({B, 1});
   }
   return Preds;
 }
@@ -34,9 +33,7 @@ virgil::ssa::computePredEdges(const IrFunction &F) {
 void DomTree::compute(const IrFunction &F) {
   size_t N = F.Blocks.size();
   Blocks.assign(F.Blocks.begin(), F.Blocks.end());
-  Index.clear();
-  for (size_t I = 0; I != N; ++I)
-    Index[Blocks[I]] = (int)I;
+  numberBlocks(F);
 
   // Structural predecessor edges in canonical order (pred position in
   // F.Blocks, Succ0 edge before Succ1) — phi arguments index into
@@ -45,9 +42,9 @@ void DomTree::compute(const IrFunction &F) {
   for (size_t I = 0; I != N; ++I) {
     IrBlock *B = Blocks[I];
     if (B->Succ0)
-      Preds[(size_t)Index[B->Succ0]].push_back({B, 0});
+      Preds[B->Succ0->Pos].push_back({B, 0});
     if (B->Succ1)
-      Preds[(size_t)Index[B->Succ1]].push_back({B, 1});
+      Preds[B->Succ1->Pos].push_back({B, 1});
   }
 
   // Postorder over the reachable subgraph (iterative DFS), then
@@ -67,7 +64,7 @@ void DomTree::compute(const IrFunction &F) {
       if (Slot < 2) {
         ++Slot;
         if (Succ) {
-          int SI = Index[Succ];
+          int SI = (int)Succ->Pos;
           if (!State[(size_t)SI]) {
             State[(size_t)SI] = 1;
             Stack.push_back({SI, 0});
@@ -105,7 +102,7 @@ void DomTree::compute(const IrFunction &F) {
         int BI = Rpo[P];
         int NewIdom = -1;
         for (const PredEdge &E : Preds[(size_t)BI]) {
-          int PI = Index[E.Pred];
+          int PI = (int)E.Pred->Pos;
           if (RpoPos[(size_t)PI] < 0 || Idom[(size_t)PI] < 0)
             continue; // Unreachable or unprocessed predecessor.
           NewIdom = NewIdom < 0 ? PI : intersect(PI, NewIdom);
@@ -157,7 +154,7 @@ void DomTree::compute(const IrFunction &F) {
     if (RpoPos[I] < 0 || Preds[I].size() < 2)
       continue;
     for (const PredEdge &E : Preds[I]) {
-      int Runner = Index[E.Pred];
+      int Runner = (int)E.Pred->Pos;
       if (RpoPos[(size_t)Runner] < 0)
         continue;
       while (Runner >= 0 && Runner != Idom[I]) {

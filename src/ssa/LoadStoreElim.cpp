@@ -44,7 +44,10 @@
 
 #include "ssa/SsaInternal.h"
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <set>
 
 using namespace virgil;
 using namespace virgil::ssa;
@@ -85,7 +88,7 @@ bool nullChecksBase(Opcode Op) {
 }
 
 /// Same-block dead-store kill (see file comment for the safety rule).
-size_t killDeadStores(IrFunction &F, std::set<IrInstr *> &Dead,
+size_t killDeadStores(IrFunction &F, std::vector<IrInstr *> &Dead,
                       SsaPassStats &Stats) {
   size_t Killed = 0;
   for (IrBlock *B : F.Blocks) {
@@ -101,7 +104,7 @@ size_t killDeadStores(IrFunction &F, std::set<IrInstr *> &Dead,
         PendingField.clear();
         PendingGlobal.clear();
         if (Victim) {
-          Dead.insert(Victim);
+          Dead.push_back(Victim);
           ++Killed;
           ++Stats.StoresKilled;
         }
@@ -114,7 +117,7 @@ size_t killDeadStores(IrFunction &F, std::set<IrInstr *> &Dead,
         PendingField.clear();
         PendingGlobal.clear();
         if (Victim) {
-          Dead.insert(Victim);
+          Dead.push_back(Victim);
           ++Killed;
           ++Stats.StoresKilled;
         }
@@ -144,9 +147,13 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
   if (F.Blocks.empty())
     return 0;
 
-  std::set<IrInstr *> Dead;
+  std::vector<IrInstr *> Dead;
   size_t Changes = killDeadStores(F, Dead, Stats);
-  std::map<Reg, Reg> Repl;
+  // The killed stores, sorted for the walk's membership test; the walk
+  // only appends the instruction it is looking at, never revisited.
+  std::vector<IrInstr *> Killed = Dead;
+  std::sort(Killed.begin(), Killed.end());
+  RegRepl Repl(F.RegTypes.size());
 
   // Scoped state (undone on subtree exit).
   std::map<std::pair<Reg, int>, Avail> FieldAvail;
@@ -220,7 +227,7 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
       }
       IrBlock *B = F.Blocks[(size_t)Fr.Block];
       for (IrInstr *I : B->Instrs) {
-        if (Dead.count(I))
+        if (std::binary_search(Killed.begin(), Killed.end(), I))
           continue; // A killed store contributes no facts.
         switch (I->Op) {
         case Opcode::FieldGet: {
@@ -228,8 +235,8 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
           auto Key = std::make_pair(Base, I->Index);
           auto It = FieldAvail.find(Key);
           if (It != FieldAvail.end() && fieldValid(It->second, I->Index)) {
-            Repl[I->Dsts[0]] = It->second.R;
-            Dead.insert(I);
+            Repl.set(I->Dsts[0], It->second.R);
+            Dead.push_back(I);
             ++Stats.LoadsEliminated;
             ++Changes;
             break;
@@ -247,8 +254,8 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
         case Opcode::GlobalGet: {
           auto It = GlobalAvail.find(I->Index);
           if (It != GlobalAvail.end() && globalValid(It->second, I->Index)) {
-            Repl[I->Dsts[0]] = It->second.R;
-            Dead.insert(I);
+            Repl.set(I->Dsts[0], It->second.R);
+            Dead.push_back(I);
             ++Stats.LoadsEliminated;
             ++Changes;
             break;
@@ -264,7 +271,7 @@ size_t virgil::ssa::runLoadStoreElim(IrModule &M, IrFunction &F,
         case Opcode::NullCheck: {
           Reg Base = I->Args[0];
           if (NonNull.count(Base)) {
-            Dead.insert(I);
+            Dead.push_back(I);
             ++Stats.NullChecksRemoved;
             ++Changes;
             break;

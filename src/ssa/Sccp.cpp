@@ -313,7 +313,7 @@ void dropPhiArgsForEdge(IrFunction &F, IrBlock *Target, IrBlock *Pred,
                         int SuccIdx) {
   if (Target->Instrs.empty() || Target->Instrs[0]->Op != Opcode::Phi)
     return;
-  auto Preds = computePredEdges(F)[Target];
+  auto Preds = computePredEdges(F)[Target->Pos];
   int Pos = -1;
   for (size_t P = 0; P != Preds.size(); ++P)
     if (Preds[P].Pred == Pred && Preds[P].SuccIdx == SuccIdx) {
@@ -334,26 +334,15 @@ void dropPhiArgsForEdge(IrFunction &F, IrBlock *Target, IrBlock *Pred,
 /// rewiring, removing the matching phi arguments in surviving blocks
 /// first so arity stays equal to the (new) structural pred count.
 void removeUnreachableWithPhis(IrFunction &F) {
-  if (F.Blocks.empty())
-    return;
-  std::set<IrBlock *> Live;
-  std::vector<IrBlock *> Work{F.Blocks[0]};
-  Live.insert(F.Blocks[0]);
-  while (!Work.empty()) {
-    IrBlock *B = Work.back();
-    Work.pop_back();
-    for (IrBlock *S : {B->Succ0, B->Succ1})
-      if (S && Live.insert(S).second)
-        Work.push_back(S);
-  }
-  if (Live.size() == F.Blocks.size())
+  std::vector<char> Live = reachableBlocks(F);
+  if (std::find(Live.begin(), Live.end(), 0) == Live.end())
     return;
   auto AllPreds = computePredEdges(F);
   for (IrBlock *B : F.Blocks) {
-    if (!Live.count(B) || B->Instrs.empty() ||
+    if (!Live[B->Pos] || B->Instrs.empty() ||
         B->Instrs[0]->Op != Opcode::Phi)
       continue;
-    const auto &Preds = AllPreds[B];
+    const auto &Preds = AllPreds[B->Pos];
     for (IrInstr *I : B->Instrs) {
       if (I->Op != Opcode::Phi)
         break;
@@ -361,13 +350,13 @@ void removeUnreachableWithPhis(IrFunction &F) {
       std::vector<Reg> Keep;
       Keep.reserve(I->Args.size());
       for (size_t P = 0; P != Preds.size(); ++P)
-        if (Live.count(Preds[P].Pred))
+        if (Live[Preds[P].Pred->Pos])
           Keep.push_back(I->Args[P]);
       I->Args = std::move(Keep);
     }
   }
   F.Blocks.erase(std::remove_if(F.Blocks.begin(), F.Blocks.end(),
-                                [&](IrBlock *B) { return !Live.count(B); }),
+                                [&](IrBlock *B) { return !Live[B->Pos]; }),
                  F.Blocks.end());
 }
 
@@ -381,8 +370,8 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
   S.solve();
 
   size_t Changes = 0;
-  std::map<Reg, Reg> Repl;
-  std::set<IrInstr *> Dead;
+  RegRepl Repl(F.RegTypes.size());
+  std::vector<IrInstr *> Dead;
 
   auto isConstOp = [](Opcode Op) {
     switch (Op) {
@@ -441,8 +430,8 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
       if (I->Op == Opcode::Move ||
           (I->Op == Opcode::TypeCast &&
            F.RegTypes[I->Args[0]] == I->TypeOperand)) {
-        Repl[D] = I->Args[0];
-        Dead.insert(I);
+        Repl.set(D, I->Args[0]);
+        Dead.push_back(I);
         ++Stats.CopiesPropagated;
         ++Changes;
         continue;
@@ -469,8 +458,8 @@ size_t virgil::ssa::runSccp(IrModule &M, IrFunction &F, const DomTree &DT,
         else if (L1.K == Lat::Cst && (IsAnd ? L1.V != 0 : L1.V == 0))
           Other = I->Args[0];
         if (Other != NoReg) {
-          Repl[D] = Other;
-          Dead.insert(I);
+          Repl.set(D, Other);
+          Dead.push_back(I);
           ++Stats.CopiesPropagated;
           ++Changes;
         }

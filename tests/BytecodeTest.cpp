@@ -33,9 +33,11 @@ class K { var v: int; new(v) { } }
 def probe(i: int, b: bool, y: byte, k: K, a: Array<int>,
           f: int -> int) -> int { return i; }
 def id(x: int) -> int { return x; }
+// Keep probe reachable and un-inlined: called only through a closure
+// stored in a global, it survives dead-function elimination.
+var probeFn: (int, bool, byte, K, Array<int>, int -> int) -> int = probe;
 def main() -> int {
-  // Keep probe reachable (specialization is reachability-driven).
-  return probe(1, true, 'a', K.new(1), Array<int>.new(1), id);
+  return probeFn(1, true, 'a', K.new(1), Array<int>.new(1), id);
 }
 )");
   const BcFunction *F = findBc(P->bytecode(), "probe");
@@ -139,9 +141,11 @@ TEST(BytecodeTest, SourceTypesPreservedForFunctionCasts) {
   auto P = compileOk(R"(
 def f(a: int, b: int) -> int { return a + b; }
 def g(t: (int, int)) -> int { return t.0; }
+// Globals, not locals: closures that escape keep f and g alive (local
+// closures are flattened to direct calls, inlined, and then dead).
+var x: (int, int) -> int = f;
+var y: (int, int) -> int = g;
 def main() -> int {
-  var x: (int, int) -> int = f;
-  var y: (int, int) -> int = g;
   return x(1, 2) + y(3, 4);
 }
 )");

@@ -459,6 +459,49 @@ def main() -> int {
   EXPECT_EQ(F.Ex.poolSize(), 1u) << "one entry serves both budgets";
 }
 
+// A loop of ~4M VM instructions: it finishes well inside the stock
+// quotas, so only a clamped quota can stop it.
+const char *kBusyLoop = R"(
+def main() -> int {
+  var acc = 0;
+  for (i = 0; i < 1000000; i = i + 1) acc = (acc + i) % 1000003;
+  return acc % 97;
+}
+)";
+
+TEST(ExecutorTest, ZeroOrOversizedDefaultFuelClampsToMax) {
+  // A request that sends 0 gets the default, and the default is
+  // clamped like any request: 0 resolves to MaxFuel, not to unlimited,
+  // and a default above MaxFuel is cut down to it.
+  for (uint64_t Default : {uint64_t(0), uint64_t(1) << 40}) {
+    ExecutorConfig EC;
+    EC.DefaultFuel = Default;
+    EC.MaxFuel = 10000;
+    ExecFixture F(EC);
+    server::ExecuteResponse R = F.run(kBusyLoop, /*Fuel=*/0);
+    EXPECT_EQ((int)R.O, (int)server::Outcome::Fuel) << "default " << Default;
+    EXPECT_LE(R.Instrs, 10000u + 64u) << "default " << Default;
+  }
+}
+
+TEST(ExecutorTest, ZeroDefaultDeadlineClampsToMax) {
+  ExecutorConfig EC;
+  EC.DefaultDeadlineMs = 0;
+  EC.MaxDeadlineMs = 1;
+  EC.DefaultFuel = 0; // MaxFuel: the deadline must be what stops it.
+  EC.Vm.Jit = VmOptions::JitMode::Off;
+  ExecFixture F(EC);
+  std::string Src = R"(
+def main() -> int {
+  var acc = 0;
+  for (i = 0; i < 200000000; i = i + 1) acc = (acc + i) % 1000003;
+  return acc % 97;
+}
+)";
+  server::ExecuteResponse R = F.run(Src);
+  EXPECT_EQ((int)R.O, (int)server::Outcome::Deadline);
+}
+
 TEST(ExecutorTest, PoolOffNeverRetainsVms) {
   ExecutorConfig EC;
   EC.UsePool = false;

@@ -60,20 +60,29 @@ std::unique_ptr<Program> expectShareInvisible(const std::string &Source) {
 }
 
 /// Three ref instantiations of one list traverser: their normalized
-/// bodies are identical, so sharing collapses them to one.
+/// bodies are identical, so sharing collapses them to one. The
+/// traverser is a vtable override dispatched through an array of the
+/// base class, so inlining cannot consume it and dead-function
+/// elimination keeps all three instantiations.
 const char *kRefWalkers = R"(
 class List<T> { var head: T; var tail: List<T>; new(head, tail) { } }
 class A { } class B { } class C { }
-def len<T>(l: List<T>) -> int {
-  var c = 0;
-  for (k = l; k != null; k = k.tail) c = c + 1;
-  return c;
+class Counter { def len() -> int { return 0; } }
+class ListCounter<T> extends Counter {
+  var l: List<T>;
+  new(l) { }
+  def len() -> int {
+    var c = 0;
+    for (k = l; k != null; k = k.tail) c = c + 1;
+    return c;
+  }
 }
 def main() -> int {
-  var la = List.new(A.new(), List.new(A.new(), null));
-  var lb = List.new(B.new(), null);
-  var lc = List.new(C.new(), null);
-  return len<A>(la) * 100 + len<B>(lb) * 10 + len<C>(lc);
+  var cs = Array<Counter>.new(3);
+  cs[0] = ListCounter<A>.new(List.new(A.new(), List.new(A.new(), null)));
+  cs[1] = ListCounter<B>.new(List.new(B.new(), null));
+  cs[2] = ListCounter<C>.new(List.new(C.new(), null));
+  return cs[0].len() * 100 + cs[1].len() * 10 + cs[2].len();
 }
 )";
 
@@ -92,7 +101,7 @@ TEST(MonoShare, RefInstantiationsCollapseToOneBody) {
 
   const ShareStats &S = P->stats().Share;
   EXPECT_TRUE(S.Enabled);
-  // len<A>, len<B>, len<C> merge into one representative (at least two
+  // ListCounter<A/B/C>.len merge into one representative (at least two
   // bodies gone); the module shrinks by the same amount.
   EXPECT_GE(S.BodiesShared, 2u);
   EXPECT_EQ(S.FunctionsBefore - S.FunctionsAfter, S.BodiesShared);
@@ -101,7 +110,9 @@ TEST(MonoShare, RefInstantiationsCollapseToOneBody) {
 }
 
 TEST(MonoShare, GeneratedShareWorkloadCollapses) {
-  std::string Src = corpus::genShareWorkload(3, 5);
+  // The live variant: genShareWorkload's traversers are inlined into
+  // main and then dead, so there would be nothing left to share.
+  std::string Src = corpus::genLiveShareWorkload(3, 5);
   auto P = expectShareInvisible(Src);
   ASSERT_NE(P, nullptr);
   // 3 traversers x 5 class instantiations -> 3 representatives: at
@@ -169,14 +180,18 @@ def main() -> int {
 //===----------------------------------------------------------------------===//
 
 TEST(MonoShare, CastsStayExactThroughSharedBodies) {
-  // id<Bat> and id<Cat> share one body; the values flowing through it
-  // must keep their exact class identity for downstream queries,
-  // casts, and virtual dispatch.
+  // Pass<Bat>.id and Pass<Cat>.id share one body; the values flowing
+  // through it must keep their exact class identity for downstream
+  // queries, casts, and virtual dispatch. (id is a method so its
+  // specializations are vtable entries: a generic top-level id would be
+  // inlined into main and then deleted as dead, leaving nothing to
+  // share.)
   const char *Source = R"(
 class Animal { def noise() -> int { return 0; } }
 class Bat extends Animal { def noise() -> int { return 1; } }
 class Cat extends Animal { def noise() -> int { return 2; } }
-def id<T>(x: T) -> T { return x; }
+class Pass<T> { def id(x: T) -> T { return x; } }
+def id<T>(x: T) -> T { return Pass<T>.new().id(x); }
 def classifyA(a: Animal) -> int {
   if (Bat.?(a)) return 1;
   if (Cat.?(a)) return 2;
@@ -230,8 +245,8 @@ def main() -> int {
 //===----------------------------------------------------------------------===//
 
 TEST(MonoShare, SerializerDedupsIdenticalBodies) {
-  // With IR sharing off, the identical len<T> bodies survive to the
-  // emitter — the v2 serializer must back-reference them on disk and
+  // With IR sharing off, the identical ListCounter<T>.len bodies
+  // survive to the emitter — the v2 serializer must back-reference them on disk and
   // the round trip must reproduce the module exactly.
   auto P = compileOk(kRefWalkers, shareOff());
   ASSERT_NE(P, nullptr);

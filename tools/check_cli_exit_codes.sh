@@ -11,17 +11,24 @@
 # Errors must go to stderr; stdout stays machine-friendly.
 #
 # Every feature-knob flag (src/core/Features.h) with a bad value is a
-# usage error (exit 2) in single, batch and fuzz mode alike.
+# usage error (exit 2) in single, batch and fuzz mode alike, and so is
+# a malformed number for fuzz's --seeds/--start-seed/--fuel/
+# --time-budget or virgild's --deadline-ms (which must fit 32 bits).
 #
-# usage: check_cli_exit_codes.sh [path-to-virgilc]
+# usage: check_cli_exit_codes.sh [path-to-virgilc [path-to-virgild]]
 #
 #===----------------------------------------------------------------------===#
 set -uo pipefail
 
 VIRGILC=${1:-build/tools/virgilc}
+VIRGILD=${2:-$(dirname "$VIRGILC")/virgild}
 
 if [ ! -x "$VIRGILC" ]; then
   echo "FAIL: virgilc not found at $VIRGILC (build first)" >&2
+  exit 1
+fi
+if [ ! -x "$VIRGILD" ]; then
+  echo "FAIL: virgild not found at $VIRGILD (build first)" >&2
   exit 1
 fi
 
@@ -35,8 +42,13 @@ fail() { echo "FAIL: $1" >&2; exit 1; }
 # status lines but no error text).
 expect() {
   local Want=$1 Label=$2; shift 2
+  run_expect "$Want" "$Label" "$VIRGILC" "$@"
+}
+
+run_expect() {
+  local Want=$1 Label=$2; shift 2
   local Out Err Code
-  Out=$("$VIRGILC" "$@" 2>"$DIR/stderr")
+  Out=$("$@" 2>"$DIR/stderr")
   Code=$?
   Err=$(cat "$DIR/stderr")
   [ "$Code" -eq "$Want" ] \
@@ -84,4 +96,21 @@ expect 0 "every knob set" --mono-share off --opt-escape off --opt-ssa off \
   --vm-jit on --jit-threshold 0 --vm-gc semi --vm-nursery-bytes 4096 \
   -e 'def main() -> int { return 0; }'
 
-echo "PASS: batch exit codes 0/1/2/3/4 and knob usage errors all verified"
+# Fuzz's numeric options are strict: a typo must not become 0 (for
+# --fuel, an unlimited budget).
+for Case in "--seeds 2x" "--seeds 0" "--start-seed -1" "--fuel abc" \
+            "--time-budget 1.5s" "--time-budget 0"; do
+  read -r Flag Bad <<< "$Case"
+  expect 2 "fuzz $Case" fuzz "$Flag" "$Bad"
+done
+expect 2 "fuzz --fuel abc --seeds 2x" fuzz --fuel abc --seeds 2x
+expect 0 "fuzz numbers valid" fuzz --seeds 1 --start-seed 3 --fuel 1000000
+
+# virgild validates its quotas before listening: a deadline above
+# 2^32-1 ms used to be truncated by a 32-bit cast.
+run_expect 2 "virgild --deadline-ms 2^32" "$VIRGILD" --unix "$DIR/sock" \
+  --deadline-ms 4294967296
+run_expect 2 "virgild --deadline-ms 12ms" "$VIRGILD" --unix "$DIR/sock" \
+  --deadline-ms 12ms
+
+echo "PASS: batch exit codes 0/1/2/3/4 and knob and number usage errors all verified"

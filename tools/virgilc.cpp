@@ -47,9 +47,10 @@
 ///
 ///   --seeds N        number of seeds to run (default 100)
 ///   --start-seed K   first seed (default 1)
-///   --time-budget S  run until S seconds elapsed instead of --seeds
+///   --time-budget S  run until S (whole) seconds elapsed instead of
+///                    --seeds
 ///   --out-dir D      persist .v reproducers + JSON metadata into D
-///   --fuel N         per-strategy instruction budget
+///   --fuel N         per-strategy instruction budget (0 = unlimited)
 ///   --no-reduce      skip shrinking divergent programs
 ///   --no-opt-compare skip the second (optimizer-off) pipeline
 ///   --gen-off F      disable one generator feature (repeatable):
@@ -88,26 +89,46 @@
 
 using namespace virgil;
 
+enum class Mode { Single, Batch, Fuzz };
+
+/// " [--flag a|b]" for every feature knob \p M accepts, in table order
+/// (fuzz takes its leg knobs bare).
+static std::string knobUsage(Mode M) {
+  std::string S;
+  for (const FeatureInfo &F : features()) {
+    if ((M == Mode::Batch && F.Layer != FeatureLayer::Compile) ||
+        (M == Mode::Fuzz && F.Fuzz == FuzzFlag::None))
+      continue;
+    S += std::string(" [") + F.Flag;
+    if (!(M == Mode::Fuzz && F.Fuzz == FuzzFlag::Leg)) {
+      std::string Values;
+      for (const FeatureValue &V : F.Values)
+        if (featureValueName(F.Id, V.Value) == V.Name)
+          Values += (Values.empty() ? "" : "|") + std::string(V.Name);
+      S += " " + (Values.empty() ? std::string("N") : Values);
+    }
+    S += "]";
+  }
+  return S;
+}
+
 static void usage() {
   std::fprintf(stderr,
                "usage: virgilc [--interp] [--dump-ast|--dump-ir|"
                "--dump-mono|--dump-norm] [--stats] [--vm-stats] "
-               "[--vm-dispatch auto|switch|threaded] "
-               "[--vm-gc gen|semi] [--vm-nursery-bytes N] [--no-opt] "
-               "[--mono-share on|off] [--opt-escape on|off] "
-               "[--opt-ssa on|off] [--dump-ir=<pass>] "
-               "(file.v3 | -e <source>)\n"
+               "[--vm-dispatch auto|switch|threaded] [--no-opt]%s "
+               "[--dump-ir=<pass>] (file.v3 | -e <source>)\n"
                "       virgilc batch [--jobs N] [--cache-dir D] "
-               "[--cache-max-bytes N] [--run] [--stats] [--no-opt] "
-               "[--mono-share on|off] [--opt-escape on|off] "
-               "[--opt-ssa on|off] <files...>\n"
+               "[--cache-max-bytes N] [--run] [--stats] [--no-opt]%s "
+               "<files...>\n"
                "       virgilc fuzz [--seeds N] [--start-seed K] "
                "[--time-budget S] [--out-dir D] [--fuel N]\n"
                "                    [--no-reduce] [--no-opt-compare] "
-               "[--gen-off FEATURE] [--verbose]\n"
-               "                    [--vm-gc gen|semi] "
-               "[--vm-nursery-bytes N] [--vm-pool] [--vm-jit] "
-               "[--mono-share] [--opt-escape] [--opt-ssa]\n");
+               "[--gen-off FEATURE] [--verbose] [--vm-pool]\n"
+               "                   %s\n",
+               knobUsage(Mode::Single).c_str(),
+               knobUsage(Mode::Batch).c_str(),
+               knobUsage(Mode::Fuzz).c_str());
 }
 
 static bool readWholeFile(const std::string &Path, std::string &Out) {
@@ -262,7 +283,8 @@ static int runBatch(int Argc, char **Argv) {
     std::printf("ssa: %s, %zu phis placed, %zu sccp folds, %zu loads "
                 "eliminated, %zu stores killed, %zu null checks "
                 "removed; %zu pass runs skipped\n",
-                Options.Compile.Opt.Ssa ? "on" : "off", S.Opt.PhisPlaced,
+                featureEnabled(Feature::Ssa, Options.Compile) ? "on" : "off",
+                S.Opt.PhisPlaced,
                 S.Opt.SccpFolded, S.Opt.LoadsEliminated,
                 S.Opt.StoresKilled, S.Opt.NullChecksRemoved,
                 S.Opt.PassRunsSkipped);
@@ -286,11 +308,13 @@ static int runBatch(int Argc, char **Argv) {
               S.Misses, S.hitRatePct(),
               S.Share.Enabled ? "true" : "false", S.Share.BodiesShared,
               S.Share.shareRatio(),
-              Options.Compile.Opt.Escape ? "true" : "false",
+              featureEnabled(Feature::Escape, Options.Compile) ? "true"
+                                                               : "false",
               S.Opt.AllocsElided, S.Opt.FieldsScalarized,
               S.Opt.ClosuresFlattened, S.Opt.CallsDevirtualized,
               S.Opt.DevirtualizedByCha,
-              Options.Compile.Opt.Ssa ? "true" : "false",
+              featureEnabled(Feature::Ssa, Options.Compile) ? "true"
+                                                            : "false",
               S.Opt.PhisPlaced, S.Opt.SccpFolded, S.Opt.LoadsEliminated,
               S.Opt.StoresKilled, S.Opt.NullChecksRemoved,
               S.Opt.PassRunsSkipped, S.Phases.PassDevirtMs,
@@ -332,25 +356,37 @@ static int runFuzz(int Argc, char **Argv) {
   fuzz::FuzzOptions Options;
   for (int I = 0; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    // The numeric options parse strictly: a typo must not silently
+    // become 0 (for --fuel, an unlimited budget).
+    uint64_t N = 0;
+    auto number = [&](const char *Flag, uint64_t Min, uint64_t Max) {
+      if (parseUnsigned(Argv[++I], Min, Max, &N))
+        return true;
+      std::fprintf(stderr,
+                   "virgilc: %s needs an integer in [%llu, %llu], got "
+                   "'%s'\n",
+                   Flag, (unsigned long long)Min, (unsigned long long)Max,
+                   Argv[I]);
+      return false;
+    };
     if (Arg == "--seeds" && I + 1 < Argc) {
-      long long N = std::atoll(Argv[++I]);
-      if (N <= 0) {
-        std::fprintf(stderr, "virgilc: --seeds must be > 0\n");
+      if (!number("--seeds", 1, UINT32_MAX))
         return 2;
-      }
-      Options.Seeds = (uint64_t)N;
+      Options.Seeds = N;
     } else if (Arg == "--start-seed" && I + 1 < Argc) {
-      Options.StartSeed = (uint32_t)std::atoll(Argv[++I]);
-    } else if (Arg == "--time-budget" && I + 1 < Argc) {
-      Options.TimeBudgetSec = std::atof(Argv[++I]);
-      if (Options.TimeBudgetSec <= 0) {
-        std::fprintf(stderr, "virgilc: --time-budget must be > 0\n");
+      if (!number("--start-seed", 0, UINT32_MAX))
         return 2;
-      }
+      Options.StartSeed = (uint32_t)N;
+    } else if (Arg == "--time-budget" && I + 1 < Argc) {
+      if (!number("--time-budget", 1, 7 * 24 * 3600))
+        return 2;
+      Options.TimeBudgetSec = (double)N;
     } else if (Arg == "--out-dir" && I + 1 < Argc) {
       Options.OutDir = Argv[++I];
     } else if (Arg == "--fuel" && I + 1 < Argc) {
-      Options.Oracle.MaxInstrs = (uint64_t)std::atoll(Argv[++I]);
+      if (!number("--fuel", 0, UINT64_MAX))
+        return 2;
+      Options.Oracle.MaxInstrs = N;
     } else if (Arg == "--no-reduce") {
       Options.Reduce = false;
     } else if (Arg == "--no-opt-compare") {
@@ -515,15 +551,17 @@ int main(int Argc, char **Argv) {
     Opt += S.OptAfterNorm;
     std::printf("opt: escape %s, %zu allocs elided, %zu fields "
                 "scalarized, %zu closures flattened; %zu devirtualized "
-                "(%zu by CHA), %zu inlined\n",
-                Options.Opt.Escape ? "on" : "off", Opt.AllocsElided,
-                Opt.FieldsScalarized, Opt.ClosuresFlattened,
-                Opt.CallsDevirtualized, Opt.DevirtualizedByCha,
-                Opt.CallsInlined);
+                "(%zu by CHA), %zu inlined, %zu dead functions removed\n",
+                featureEnabled(Feature::Escape, Options) ? "on" : "off",
+                Opt.AllocsElided, Opt.FieldsScalarized,
+                Opt.ClosuresFlattened, Opt.CallsDevirtualized,
+                Opt.DevirtualizedByCha, Opt.CallsInlined,
+                Opt.FunctionsRemoved);
     std::printf("ssa: %s, %zu phis placed, %zu sccp folds, %zu loads "
                 "eliminated, %zu stores killed, %zu null checks "
                 "removed; %zu pass runs skipped\n",
-                Options.Opt.Ssa ? "on" : "off", Opt.PhisPlaced,
+                featureEnabled(Feature::Ssa, Options) ? "on" : "off",
+                Opt.PhisPlaced,
                 Opt.SccpFolded, Opt.LoadsEliminated, Opt.StoresKilled,
                 Opt.NullChecksRemoved, Opt.PassRunsSkipped);
     std::printf("time: %s\n", S.Timings.toString().c_str());

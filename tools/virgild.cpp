@@ -154,7 +154,7 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      if (!parseUnsigned(Argv[++I], 0, UINT64_MAX, &N)) {
+      if (!parseUnsigned(Argv[++I], 0, UINT32_MAX, &N)) {
         std::fprintf(stderr, "virgild: bad --deadline-ms\n");
         return 2;
       }
